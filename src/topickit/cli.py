@@ -141,6 +141,7 @@ def _fit_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig):
             "converged": model.converged,
             "trace": list(model.elbo_trace),
             "trace_name": "elbo",
+            "inner_updates": model.inner_updates,
             "alpha": model.config.alpha,
             "beta": model.config.beta,
         }

@@ -1,11 +1,12 @@
 """Latent Dirichlet Allocation fitted by batch variational inference.
 
-The fit alternates a per-document E-step (coordinate ascent on the
-variational Dirichlet parameters, warm-started across iterations) with a
-global M-step, and records the evidence lower bound after every
-iteration.  Warm-starting the per-document parameters makes each
-iteration a joint coordinate-ascent step, so the recorded bound is
-non-decreasing up to floating-point noise.
+The fit alternates an E-step (coordinate ascent on the variational
+Dirichlet parameters of all documents at once, warm-started across
+iterations) with a global M-step, and records the evidence lower bound
+after every iteration.  The bound has the word responsibilities
+collapsed out, so every gamma update and every lambda update is an exact
+block coordinate-ascent step on it: the recorded bound is non-decreasing
+up to floating-point noise for any number of inner updates.
 
 Stored matrices are the normalised variational means: each row of
 ``doc_topic`` and ``topic_term`` is a probability distribution.
@@ -23,9 +24,12 @@ from .vectorize import DocTermMatrix
 
 __all__ = ["LdaConfig", "LdaModel", "fit_lda", "lda_elbo"]
 
-# Per-document coordinate-ascent loop; tight so the outer bound stays monotone.
+# Inner gamma updates per E-step: a document stops once its mean absolute
+# gamma change is below _INNER_TOL times its mean gamma (the relative
+# threshold of Hoffman, Blei & Bach 2010).  At 1e-5 the K=5 fit of the
+# planted acceptance corpus already ends at a lower optimum.
 _INNER_MAX_ITER = 1000
-_INNER_TOL = 1e-10
+_INNER_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,7 @@ class LdaModel:
     elbo_trace: list[float]
     config: LdaConfig
     converged: bool
+    inner_updates: int  # per-document gamma updates over all E-steps
     # Variational Dirichlet parameters the distributions were normalised
     # from; kept so the bound can be recomputed on the fitted model.
     gamma_: np.ndarray = field(repr=False, default=None)
@@ -74,6 +79,10 @@ def _validate_tf(tf: DocTermMatrix) -> sp.csr_matrix:
     if tf.weighting != "tf":
         raise ValueError(f"LDA requires raw term counts, got weighting {tf.weighting!r}")
     mat = tf.values.tocsr()
+    bad = ~np.isfinite(mat.data) | (mat.data < 0)
+    if np.any(bad):
+        row = np.searchsorted(mat.indptr, np.argmax(bad), side="right") - 1
+        raise ValueError(f"TF counts must be nonnegative and finite: doc {tf.doc_ids[row]!r}")
     if mat.nnz and np.any(mat.data != np.floor(mat.data)):
         raise ValueError("TF matrix must contain integer counts")
     row_sums = np.asarray(mat.sum(axis=1)).ravel()
@@ -83,28 +92,51 @@ def _validate_tf(tf: DocTermMatrix) -> sp.csr_matrix:
     return mat
 
 
+def _nnz_rows(mat) -> np.ndarray:
+    """Row index of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+
+
 def _e_step(mat, gamma, expElogbeta, alpha):
-    """Coordinate ascent on each document's gamma; returns new sufficient stats."""
-    sstats = np.zeros_like(expElogbeta)
-    for d in range(mat.shape[0]):
-        start, end = mat.indptr[d], mat.indptr[d + 1]
-        ids = mat.indices[start:end]
-        cts = mat.data[start:end]
-        gammad = gamma[d]
-        expElogthetad = np.exp(_dirichlet_expectation(gammad))
-        expElogbetad = expElogbeta[:, ids]
-        phinorm = expElogthetad @ expElogbetad + 1e-100
-        for _ in range(_INNER_MAX_ITER):
-            last = gammad
-            gammad = alpha + expElogthetad * ((cts / phinorm) @ expElogbetad.T)
-            expElogthetad = np.exp(_dirichlet_expectation(gammad))
-            phinorm = expElogthetad @ expElogbetad + 1e-100
-            if np.mean(np.abs(gammad - last)) < _INNER_TOL:
-                break
-        gamma[d] = gammad
-        sstats[:, ids] += np.outer(expElogthetad, cts / phinorm)
-    sstats *= expElogbeta
-    return sstats
+    """Coordinate ascent on every document's gamma at once.
+
+    Updates ``gamma`` in place and returns the sufficient statistics and
+    the number of per-document gamma updates made.  Each trip updates all
+    active documents with one sparse product; a document leaves the
+    active set once its mean absolute gamma change is below
+    ``_INNER_TOL`` times its mean gamma, or after ``_INNER_MAX_ITER``
+    updates.
+    """
+    betaT = np.ascontiguousarray(expElogbeta.T)
+    rows = _nnz_rows(mat)
+    betad = betaT[mat.indices]  # (nnz, K)
+    expElogtheta = np.exp(_dirichlet_expectation(gamma))
+
+    # Active set: its document ids, its CSR rows (whose data is replaced
+    # by counts / phinorm on every trip) and its slices of the nnz arrays.
+    active = np.arange(mat.shape[0])
+    ratio, cts, sub_rows, sub_betad = mat.copy(), mat.data, rows, betad
+    updates = 0
+    for _ in range(_INNER_MAX_ITER):
+        thetad = expElogtheta[active]
+        phinorm = np.einsum("nk,nk->n", thetad[sub_rows], sub_betad) + 1e-100
+        ratio.data = cts / phinorm
+        new = alpha + thetad * (ratio @ betaT)
+        updates += len(active)
+        # mean |change| >= tol * mean gamma, both means over the same K topics
+        moving = np.abs(new - gamma[active]).sum(axis=1) >= _INNER_TOL * new.sum(axis=1)
+        gamma[active] = new
+        expElogtheta[active] = np.exp(_dirichlet_expectation(new))
+        if not moving.any():
+            break
+        if not moving.all():
+            kept = moving[sub_rows]
+            active, ratio = active[moving], ratio[moving]
+            cts, sub_betad, sub_rows = cts[kept], sub_betad[kept], _nnz_rows(ratio)
+
+    phinorm = np.einsum("nk,nk->n", expElogtheta[rows], betad) + 1e-100
+    ratio = sp.csr_matrix((mat.data / phinorm, mat.indices, mat.indptr), shape=mat.shape)
+    return (ratio.T @ expElogtheta).T * expElogbeta, updates
 
 
 def _bound(mat, gamma, lam, alpha, beta) -> float:
@@ -114,13 +146,8 @@ def _bound(mat, gamma, lam, alpha, beta) -> float:
     Elogtheta = _dirichlet_expectation(gamma)
     Elogbeta = _dirichlet_expectation(lam)
 
-    score = 0.0
-    for d in range(n_docs):
-        start, end = mat.indptr[d], mat.indptr[d + 1]
-        ids = mat.indices[start:end]
-        cts = mat.data[start:end]
-        log_phinorm = logsumexp(Elogtheta[d][:, np.newaxis] + Elogbeta[:, ids], axis=0)
-        score += float(cts @ log_phinorm)
+    log_phinorm = logsumexp(Elogtheta[_nnz_rows(mat)] + Elogbeta.T[mat.indices], axis=1)
+    score = float(mat.data @ log_phinorm)
 
     # E[log p(theta | alpha)] - E[log q(theta | gamma)]
     score += float(np.sum((alpha - gamma) * Elogtheta))
@@ -157,11 +184,15 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
 
     trace: list[float] = []
     converged = False
-    for _ in range(config.max_iter):
+    inner_updates = 0
+    for iteration in range(config.max_iter):
         expElogbeta = np.exp(_dirichlet_expectation(lam))
-        sstats = _e_step(mat, gamma, expElogbeta, alpha)
+        sstats, updates = _e_step(mat, gamma, expElogbeta, alpha)
+        inner_updates += updates
         lam = beta + sstats
         bound = _bound(mat, gamma, lam, alpha, beta)
+        if not (np.isfinite(bound) and np.all(np.isfinite(gamma)) and np.all(np.isfinite(lam))):
+            raise RuntimeError(f"LDA update produced NaN/Inf at iteration {iteration + 1}")
         trace.append(bound)
         if len(trace) > 1:
             prev = trace[-2]
@@ -175,6 +206,7 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
         elbo_trace=trace,
         config=config,
         converged=converged,
+        inner_updates=inner_updates,
         gamma_=gamma,
         lambda_=lam,
     )

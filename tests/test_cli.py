@@ -103,6 +103,9 @@ class TestRunExperiment:
                 assert (cell / "model.json").is_file()
                 if method == "ntf":
                     assert (cell / "company_topic.csv").is_file()
+                if method == "lda":
+                    meta = json.loads((cell / "model.json").read_text())
+                    assert isinstance(meta["inner_updates"], int) and meta["inner_updates"] > 0
                 report = json.loads((cell / "report.json").read_text())
                 assert sum(report["topic_sizes"]) == manifest.digest["documents_in_matrices"]
                 for company, row in report["company_crosstab"].items():

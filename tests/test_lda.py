@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from scipy.special import gammaln, psi
+from scipy.special import gammaln, logsumexp, psi
 
-from topickit.lda import LdaConfig, fit_lda, lda_elbo
+from topickit import lda
+from topickit.lda import LdaConfig, _bound, _dirichlet_expectation, _e_step, fit_lda, lda_elbo
 from topickit.vectorize import DocTermMatrix, build_vocabulary, tf_matrix
 
 from conftest import random_tokenized, toks
@@ -26,6 +27,70 @@ def random_tf(rng, n_docs=10, n_terms=18):
     docs = random_tokenized(rng, n_docs=n_docs, vocab_size=n_terms)
     vocab = build_vocabulary(docs)
     return tf_matrix(docs, vocab)
+
+
+def tf_with_counts(rng, counts):
+    """Random TF whose first stored count in row r is replaced by counts[r]."""
+    tf = random_tf(rng)
+    values = tf.values.tocsr().astype(np.float64)
+    for row, value in counts.items():
+        values.data[values.indptr[row]] = value
+    return DocTermMatrix(values, "tf", tf.doc_ids)
+
+
+def loop_e_step(mat, gamma, expElogbeta, alpha):
+    """Reference E-step: coordinate ascent one document at a time."""
+    sstats = np.zeros_like(expElogbeta)
+    updates = 0
+    for d in range(mat.shape[0]):
+        start, end = mat.indptr[d], mat.indptr[d + 1]
+        ids = mat.indices[start:end]
+        cts = mat.data[start:end]
+        gammad = gamma[d]
+        expElogthetad = np.exp(_dirichlet_expectation(gammad))
+        expElogbetad = expElogbeta[:, ids]
+        phinorm = expElogthetad @ expElogbetad + 1e-100
+        for _ in range(lda._INNER_MAX_ITER):
+            last = gammad
+            gammad = alpha + expElogthetad * ((cts / phinorm) @ expElogbetad.T)
+            updates += 1
+            expElogthetad = np.exp(_dirichlet_expectation(gammad))
+            phinorm = expElogthetad @ expElogbetad + 1e-100
+            if np.mean(np.abs(gammad - last)) < lda._INNER_TOL * np.mean(gammad):
+                break
+        gamma[d] = gammad
+        sstats[:, ids] += np.outer(expElogthetad, cts / phinorm)
+    return sstats * expElogbeta, updates
+
+
+def loop_bound(mat, gamma, lam, alpha, beta):
+    """Reference bound: the word term summed one document at a time."""
+    n_docs, k = gamma.shape
+    n_terms = lam.shape[1]
+    Elogtheta = _dirichlet_expectation(gamma)
+    Elogbeta = _dirichlet_expectation(lam)
+    score = 0.0
+    for d in range(n_docs):
+        start, end = mat.indptr[d], mat.indptr[d + 1]
+        ids = mat.indices[start:end]
+        log_phinorm = logsumexp(Elogtheta[d][:, np.newaxis] + Elogbeta[:, ids], axis=0)
+        score += float(mat.data[start:end] @ log_phinorm)
+    score += float(np.sum((alpha - gamma) * Elogtheta))
+    score += float(np.sum(gammaln(gamma)) - np.sum(gammaln(np.sum(gamma, axis=1))))
+    score += n_docs * (gammaln(k * alpha) - k * gammaln(alpha))
+    score += float(np.sum((beta - lam) * Elogbeta))
+    score += float(np.sum(gammaln(lam)) - np.sum(gammaln(np.sum(lam, axis=1))))
+    score += k * (gammaln(n_terms * beta) - n_terms * gammaln(beta))
+    return score
+
+
+def assert_elbo_non_decreasing(rng):
+    for seed in range(20):
+        tf = random_tf(rng, n_docs=10, n_terms=15)
+        model = fit_lda(tf, LdaConfig(k=3, seed=seed, max_iter=60))
+        trace = np.array(model.elbo_trace)
+        slack = 1e-8 * np.abs(trace[:-1])
+        assert np.all(np.diff(trace) >= -slack)
 
 
 def single_topic_bound(counts, alpha, beta):
@@ -78,12 +143,21 @@ class TestContracts:
             np.testing.assert_allclose(model.topic_term.sum(axis=1), 1.0, atol=1e-9)
 
     def test_elbo_non_decreasing(self, rng):
-        for seed in range(20):
-            tf = random_tf(rng, n_docs=10, n_terms=15)
-            model = fit_lda(tf, LdaConfig(k=3, seed=seed, max_iter=60))
-            trace = np.array(model.elbo_trace)
-            slack = 1e-8 * np.abs(trace[:-1])
-            assert np.all(np.diff(trace) >= -slack)
+        assert_elbo_non_decreasing(rng)
+
+    @pytest.mark.parametrize("inner_max_iter", [1, 5])
+    def test_elbo_non_decreasing_for_any_inner_count(self, rng, monkeypatch, inner_max_iter):
+        monkeypatch.setattr(lda, "_INNER_MAX_ITER", inner_max_iter)
+        assert_elbo_non_decreasing(rng)
+
+    def test_inner_updates_counted(self, rng):
+        tf = random_tf(rng)
+        a = fit_lda(tf, LdaConfig(k=3, seed=11, max_iter=25))
+        b = fit_lda(tf, LdaConfig(k=3, seed=11, max_iter=25))
+        assert isinstance(a.inner_updates, int)
+        # every document is updated at least once per outer iteration
+        assert a.inner_updates >= tf.shape[0] * len(a.elbo_trace) > 0
+        assert a.inner_updates == b.inner_updates
 
     def test_final_elbo_recomputable(self, rng):
         tf = random_tf(rng)
@@ -106,6 +180,34 @@ class TestContracts:
         assert settled.converged
 
 
+class TestBatchedMatchesLoop:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_e_step_matches_loop(self, rng, k):
+        for _ in range(4):
+            tf = random_tf(rng, n_docs=12, n_terms=20)
+            mat = tf.values.tocsr()
+            alpha = 1.0 / k
+            expElogbeta = np.exp(_dirichlet_expectation(rng.gamma(100.0, 0.01, (k, mat.shape[1]))))
+            start = alpha + rng.gamma(2.0, 5.0, (mat.shape[0], k))
+            gamma, ref_gamma = start.copy(), start.copy()
+            sstats, updates = _e_step(mat, gamma, expElogbeta, alpha)
+            ref_sstats, ref_updates = loop_e_step(mat, ref_gamma, expElogbeta, alpha)
+            np.testing.assert_allclose(gamma, ref_gamma, rtol=1e-12)
+            np.testing.assert_allclose(sstats, ref_sstats, rtol=1e-12)
+            assert updates == ref_updates
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_bound_matches_loop(self, rng, k):
+        for _ in range(4):
+            tf = random_tf(rng, n_docs=12, n_terms=20)
+            mat = tf.values.tocsr()
+            gamma = 0.5 + rng.gamma(2.0, 5.0, (mat.shape[0], k))
+            lam = 0.5 + rng.gamma(2.0, 5.0, (k, mat.shape[1]))
+            np.testing.assert_allclose(
+                _bound(mat, gamma, lam, 0.3, 0.2), loop_bound(mat, gamma, lam, 0.3, 0.2), rtol=1e-12
+            )
+
+
 class TestErrors:
     def test_k_exceeds_documents(self, rng):
         tf = random_tf(rng, n_docs=4)
@@ -119,6 +221,17 @@ class TestErrors:
         bad = DocTermMatrix(tf.values * 0.5, "tf", tf.doc_ids)
         with pytest.raises(ValueError, match="integer"):
             fit_lda(bad, LdaConfig(k=2))
+
+    @pytest.mark.parametrize("value", [-3.0, np.inf, np.nan])
+    def test_bad_count_rejected_naming_first_doc(self, rng, value):
+        tf = tf_with_counts(rng, {3: value, 6: -1.0})
+        with pytest.raises(ValueError, match="nonnegative and finite: doc 'd003'"):
+            fit_lda(tf, LdaConfig(k=2))
+
+    def test_overflowing_update_raises(self, rng):
+        tf = tf_with_counts(rng, {2: 1e308})
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match="NaN/Inf at iteration 1"):
+            fit_lda(tf, LdaConfig(k=2))
 
     def test_tfidf_input_rejected(self, rng):
         docs = random_tokenized(rng)
