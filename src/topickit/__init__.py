@@ -41,7 +41,6 @@ from .vectorize import (
     build_vocabulary,
     tf_matrix,
     tfidf_matrix,
-    write_sparse,
 )
 
 __version__ = "0.1.0"
@@ -64,7 +63,6 @@ __all__ = [
     "tf_matrix",
     "tfidf_matrix",
     "build_tensor",
-    "write_sparse",
     "LdaConfig",
     "LdaModel",
     "fit_lda",

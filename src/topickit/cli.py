@@ -22,8 +22,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
@@ -43,6 +43,10 @@ __all__ = ["ConfigError", "RunConfig", "RunManifest", "run_experiment", "select_
 logger = logging.getLogger(__name__)
 
 KNOWN_METHODS = ("lda", "nmf", "ntf")
+# The solver settings a config may override, by method, named as the fit
+# functions name them; everything else keeps the solver's own default.
+SOLVER_KEYS = {"lda": ("max_iter", "tol"), "nmf": ("max_iter", "tol"), "ntf": ("max_sweeps", "tol")}
+FILTER_KEYS = ("year", "category", "report_type")
 
 
 class ConfigError(Exception):
@@ -56,8 +60,52 @@ def _tool_version() -> str:
         return "0.0.0+local"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _comma_list(value) -> tuple:
+    return tuple(v for v in value.split(",") if v) if isinstance(value, str) else tuple(value)
+
+
+def _parse_k_values(text: str) -> tuple[int, ...]:
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            values = tuple(range(int(lo), int(hi) + 1))
+        else:
+            values = tuple(int(v) for v in text.split(",") if v)
+    except ValueError:
+        raise ConfigError(f"cannot parse K values from {text!r}") from None
+    if not values:
+        raise ConfigError(f"no K values in {text!r}")
+    return values
+
+
+def _year_range(value) -> tuple[int, int]:
+    """A year filter as an inclusive pair: 2005, [2000, 2009], "2005" or "2000:2009"."""
+    parts = value.split(":", 1) if isinstance(value, str) else [value] if _is_int(value) else value
+    try:
+        years = [int(p) if isinstance(p, str) else p for p in parts]
+    except (TypeError, ValueError):
+        years = []
+    if len(years) not in (1, 2) or not all(map(_is_int, years)):
+        raise ConfigError(f"cannot parse year filter {value!r}")
+    return int(years[0]), int(years[-1])
+
+
 @dataclass
 class RunConfig:
+    """One sweep's settings, checked and normalised on construction.
+
+    ``methods``, ``k_values`` and ``extra_stopwords`` also take the
+    command line's string forms ("lda,nmf", "2:6" or "2,3,4", "coal,drill").
+    """
+
     corpus_path: str
     corpus_format: str = "jsonl"
     methods: tuple[str, ...] = KNOWN_METHODS
@@ -67,16 +115,17 @@ class RunConfig:
     out_dir: str = "out"
     filters: dict = field(default_factory=dict)
     extra_stopwords: tuple[str, ...] = ()
-    jobs: int = 1
     select_margin: float = 0.02
     n_keywords: int = 30
-    lda: dict = field(default_factory=dict)  # max_iter, tol overrides
+    lda: dict = field(default_factory=dict)  # solver overrides, keys in SOLVER_KEYS
     nmf: dict = field(default_factory=dict)
     ntf: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.methods = tuple(self.methods)
-        self.k_values = tuple(int(k) for k in self.k_values)
+        self.methods = _comma_list(self.methods)
+        self.extra_stopwords = _comma_list(self.extra_stopwords)
+        if isinstance(self.k_values, str):
+            self.k_values = _parse_k_values(self.k_values)
         if not self.methods:
             raise ConfigError("at least one method is required")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
@@ -84,12 +133,40 @@ class RunConfig:
             raise ConfigError(f"unknown method(s): {', '.join(unknown)}")
         if not self.k_values:
             raise ConfigError("at least one K value is required")
-        if any(k < 1 for k in self.k_values):
-            raise ConfigError("every K must be >= 1")
+        if not all(_is_int(k) and k >= 1 for k in self.k_values):
+            raise ConfigError(f"every K must be an integer >= 1, got {self.k_values!r}")
+        self.k_values = tuple(int(k) for k in self.k_values)
+        for name in ("corpus_path", "corpus_format", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a string")
+        for name in ("seed", "min_df", "n_keywords"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer")
+        if not _is_real(self.select_margin):
+            raise ConfigError("select_margin must be a number")
         if self.min_df < 1:
             raise ConfigError("min_df must be >= 1")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
+
+        if not isinstance(self.filters, dict):
+            raise ConfigError("filters must be an object")
+        unknown = [key for key in self.filters if key not in FILTER_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown filter key(s): {', '.join(unknown)}")
+        if "year" in self.filters:
+            self.filters = {**self.filters, "year": _year_range(self.filters["year"])}
+
+        for method, keys in SOLVER_KEYS.items():
+            overrides = getattr(self, method)
+            if not isinstance(overrides, dict):
+                raise ConfigError(f"{method} must be an object of solver settings")
+            for key, value in overrides.items():
+                if key not in keys:
+                    raise ConfigError(
+                        f"unknown solver setting {method}.{key}; {method} takes {', '.join(keys)}"
+                    )
+                if not (_is_real(value) if key == "tol" else _is_int(value)):
+                    kind = "a number" if key == "tol" else "an integer"
+                    raise ConfigError(f"{method}.{key} must be {kind}, got {value!r}")
 
 
 @dataclass
@@ -130,13 +207,7 @@ def _apply_filters(docs: list[RawDocument], filters: dict) -> list[RawDocument]:
 def _fit_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig):
     """Fit one model and return (doc_topic, topic_term, company block, meta)."""
     if method == "lda":
-        lda_cfg = LdaConfig(
-            k=k,
-            max_iter=int(config.lda.get("max_iter", 200)),
-            tol=float(config.lda.get("tol", 1e-6)),
-            seed=config.seed,
-        )
-        model = fit_lda(bundle.tf, lda_cfg)
+        model = fit_lda(bundle.tf, LdaConfig(k=k, seed=config.seed, **config.lda))
         meta = {
             "converged": model.converged,
             "trace": list(model.elbo_trace),
@@ -147,35 +218,21 @@ def _fit_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig):
         }
         return model.doc_topic, model.topic_term, None, meta
     if method == "nmf":
-        model = fit_nmf(
-            bundle.tfidf,
-            k,
-            max_iter=int(config.nmf.get("max_iter", 300)),
-            tol=float(config.nmf.get("tol", 1e-6)),
-            seed=config.seed,
-        )
+        model = fit_nmf(bundle.tfidf, k, seed=config.seed, **config.nmf)
         meta = {
             "converged": model.converged,
             "trace": list(model.objective_trace),
             "trace_name": "objective",
         }
         return model.doc_topic, model.topic_term, None, meta
-    if method == "ntf":
-        model = fit_ntf(
-            bundle.tensor,
-            k,
-            max_sweeps=int(config.ntf.get("max_sweeps", 200)),
-            tol=float(config.ntf.get("tol", 1e-6)),
-            seed=config.seed,
-        )
-        meta = {
-            "converged": model.converged,
-            "trace": list(model.error_trace),
-            "trace_name": "reconstruction_error",
-            "rescues": model.rescues,
-        }
-        return model.doc_factor, model.term_factor.T, model.company_factor, meta
-    raise ConfigError(f"unknown method {method!r}")
+    model = fit_ntf(bundle.tensor, k, seed=config.seed, **config.ntf)
+    meta = {
+        "converged": model.converged,
+        "trace": list(model.error_trace),
+        "trace_name": "reconstruction_error",
+        "rescues": model.rescues,
+    }
+    return model.doc_factor, model.term_factor.T, model.company_factor, meta
 
 
 def _export_cell(
@@ -389,14 +446,9 @@ def run_experiment(config: RunConfig) -> RunManifest:
         tf.shape[0], tensor.shape[1], len(vocab),
     )
 
-    cells = [(m, k) for m in config.methods for k in config.k_values]
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(
-                lambda cell: _run_cell(cell[0], cell[1], bundle, config, out_dir), cells
-            ))
-    else:
-        results = [_run_cell(m, k, bundle, config, out_dir) for m, k in cells]
+    results = [
+        _run_cell(m, k, bundle, config, out_dir) for m in config.methods for k in config.k_values
+    ]
     for res in results:
         logger.info(
             "cell (%s, k=%d): %s in %.2fs",
@@ -475,39 +527,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_k_values(text: str) -> tuple[int, ...]:
-    try:
-        if ":" in text:
-            lo, hi = text.split(":", 1)
-            values = tuple(range(int(lo), int(hi) + 1))
-        else:
-            values = tuple(int(v) for v in text.split(",") if v)
-    except ValueError:
-        raise ConfigError(f"cannot parse K values from {text!r}") from None
-    if not values:
-        raise ConfigError(f"no K values in {text!r}")
-    return values
-
-
 def _parse_filters(pairs: list[str]) -> dict:
     filters: dict = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"--filter expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
-        if key == "year":
-            try:
-                if ":" in value:
-                    lo, hi = value.split(":", 1)
-                    filters["year"] = (int(lo), int(hi))
-                else:
-                    filters["year"] = (int(value), int(value))
-            except ValueError:
-                raise ConfigError(f"cannot parse year filter {value!r}") from None
-        elif key in ("category", "report_type"):
-            filters[key] = value
-        else:
-            raise ConfigError(f"unknown filter key {key!r}")
+        filters[key] = value
     return filters
 
 
@@ -515,23 +541,32 @@ def _build_parser() -> _Parser:
     parser = _Parser(
         prog="topickit",
         description="Sweep LDA / NMF / tensor topic models over a corpus and compare them.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--corpus", help="corpus path (JSONL file or text directory)")
-    parser.add_argument("--format", choices=("jsonl", "text-dir"), help="corpus format")
-    parser.add_argument("--methods", help="comma list from lda,nmf,ntf")
-    parser.add_argument("--k", help="topic counts: comma list '2,3,4' or range '2:6'")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--min-df", type=int, dest="min_df", help="minimum document frequency")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--filter", action="append", default=[], metavar="KEY=VALUE",
+    # Every flag but --config and --verbose sets the RunConfig field named by
+    # its dest, and only when given; RunConfig parses and checks the value.
+    parser.add_argument("--config", default=None,
+                        help="JSON config file; flags override its values")
+    parser.add_argument("--corpus", dest="corpus_path",
+                        help="corpus path (JSONL file or text directory)")
+    parser.add_argument("--format", dest="corpus_format", choices=("jsonl", "text-dir"),
+                        help="corpus format")
+    parser.add_argument("--methods", dest="methods", help="comma list from lda,nmf,ntf")
+    parser.add_argument("--k", dest="k_values",
+                        help="topic counts: comma list '2,3,4' or range '2:6'")
+    parser.add_argument("--seed", dest="seed", type=int, help="random seed")
+    parser.add_argument("--min-df", dest="min_df", type=int, help="minimum document frequency")
+    parser.add_argument("--out", dest="out_dir", help="output directory")
+    parser.add_argument("--filter", dest="filters", action="append", metavar="KEY=VALUE",
                         help="metadata filter: year=A[:B], category=..., report_type=...")
     parser.add_argument("--extra-stopwords", dest="extra_stopwords",
                         help="comma list of additional stop-words")
-    parser.add_argument("--jobs", type=int, help="parallel (method, K) cells")
-    parser.add_argument("--margin", type=float, help="silhouette margin for best-K candidates")
-    parser.add_argument("--keywords", type=int, help="keyword list length (default 30)")
-    parser.add_argument("-v", "--verbose", action="store_true", help="verbose logging")
+    parser.add_argument("--margin", dest="select_margin", type=float,
+                        help="silhouette margin for best-K candidates")
+    parser.add_argument("--keywords", dest="n_keywords", type=int,
+                        help="keyword list length (default 30)")
+    parser.add_argument("-v", "--verbose", action="store_true", default=False,
+                        help="verbose logging")
     return parser
 
 
@@ -548,39 +583,14 @@ def _load_config(args) -> RunConfig:
         if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")
 
-    if args.corpus:
-        settings["corpus_path"] = args.corpus
-    if args.format:
-        settings["corpus_format"] = args.format
-    if args.methods:
-        settings["methods"] = tuple(m for m in args.methods.split(",") if m)
-    if args.k:
-        settings["k_values"] = _parse_k_values(args.k)
-    if args.seed is not None:
-        settings["seed"] = args.seed
-    if args.min_df is not None:
-        settings["min_df"] = args.min_df
-    if args.out:
-        settings["out_dir"] = args.out
-    if args.filter:
-        settings["filters"] = {**settings.get("filters", {}), **_parse_filters(args.filter)}
-    elif "filters" in settings and "year" in settings["filters"]:
-        year = settings["filters"]["year"]
-        settings["filters"]["year"] = tuple(year) if isinstance(year, (list, tuple)) else (year, year)
-    if args.extra_stopwords:
-        settings["extra_stopwords"] = tuple(
-            s for s in args.extra_stopwords.split(",") if s
-        )
-    if args.jobs is not None:
-        settings["jobs"] = args.jobs
-    if args.margin is not None:
-        settings["select_margin"] = args.margin
-    if args.keywords is not None:
-        settings["n_keywords"] = args.keywords
-
+    flags = {k: v for k, v in vars(args).items() if k not in ("config", "verbose")}
+    filters = _parse_filters(flags.pop("filters", []))
+    settings.update(flags)
     if "corpus_path" not in settings:
         raise ConfigError("a corpus is required (--corpus or config file)")
     try:
+        if filters:
+            settings["filters"] = {**settings.get("filters", {}), **filters}
         return RunConfig(**settings)
     except TypeError as exc:
         raise ConfigError(f"bad config: {exc}") from None

@@ -216,25 +216,22 @@ class EvaluationReport:
     notices: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        def _sig(x):
-            return None if x is None else float(f"{x:.12g}")
-
         return {
             "method": self.method,
             "k": self.k,
             "silhouette_documents": None if self.silhouette_documents is None else {
-                "mean": _sig(self.silhouette_documents.mean),
-                "per_sample": [_sig(v) for v in self.silhouette_documents.per_sample],
+                "mean": self.silhouette_documents.mean,
+                "per_sample": self.silhouette_documents.per_sample.tolist(),
                 "distance": self.silhouette_documents.distance,
             },
             "silhouette_companies": None if self.silhouette_companies is None else {
-                "mean": _sig(self.silhouette_companies.mean),
-                "per_sample": [_sig(v) for v in self.silhouette_companies.per_sample],
+                "mean": self.silhouette_companies.mean,
+                "per_sample": self.silhouette_companies.per_sample.tolist(),
                 "distance": self.silhouette_companies.distance,
             },
-            "keyword_match_per_topic": [_sig(r) for r in self.keyword_match_per_topic],
-            "keyword_match_mean": _sig(self.keyword_match_mean),
-            "decisiveness": _sig(self.decisiveness),
+            "keyword_match_per_topic": self.keyword_match_per_topic,
+            "keyword_match_mean": self.keyword_match_mean,
+            "decisiveness": self.decisiveness,
             "topic_sizes": self.topic_sizes,
             "company_crosstab": self.company_crosstab,
             "topic_keywords": self.topic_keywords,

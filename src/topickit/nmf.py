@@ -38,7 +38,6 @@ class NmfModel:
     topic_term: np.ndarray  # (K, V), >= 0
     objective_trace: list[float]
     k: int
-    seed: int
     converged: bool
 
 
@@ -167,6 +166,5 @@ def fit_nmf(
         topic_term=h,
         objective_trace=trace,
         k=k,
-        seed=seed,
         converged=converged,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,7 +32,6 @@ __all__ = [
     "tf_matrix",
     "tfidf_matrix",
     "build_tensor",
-    "write_sparse",
 ]
 
 
@@ -209,27 +208,3 @@ def build_tensor(
         company_ids=company_ids,
     )
 
-
-def write_sparse(fh: IO[str], obj: DocTermMatrix | DocCompanyTermTensor) -> None:
-    """Write a matrix or tensor in the plain sparse text format.
-
-    Header line ``dims D V`` (matrix) or ``dims D V C`` (tensor), then one
-    ``row col value`` / ``row col slab value`` line per nonzero, sorted by
-    index tuple.  Values are printed with 12 significant digits.
-    """
-    if isinstance(obj, DocTermMatrix):
-        d, v = obj.shape
-        fh.write(f"dims {d} {v}\n")
-        coo = obj.values.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for i in order:
-            fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.12g}\n")
-    else:
-        d, c, v = obj.shape
-        fh.write(f"dims {d} {v} {c}\n")
-        order = np.lexsort((obj.company_idx, obj.term_idx, obj.doc_idx))
-        for i in order:
-            fh.write(
-                f"{obj.doc_idx[i]} {obj.term_idx[i]} {obj.company_idx[i]} "
-                f"{obj.values[i]:.12g}\n"
-            )

@@ -37,6 +37,12 @@ def read_csv_rows(path):
         return list(csv.DictReader(fh))
 
 
+def write_config(tmp_path, name="run.json", **settings):
+    path = tmp_path / name
+    path.write_text(json.dumps(settings))
+    return path
+
+
 class TestSelectBest:
     def test_margin_then_keyword_rule(self):
         summaries = [
@@ -151,17 +157,6 @@ class TestRunExperiment:
             })
         assert contents[0] == contents[1]
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
-        blobs = []
-        for jobs, name in ((1, "serial"), (3, "parallel")):
-            out = tmp_path / f"out_{name}"
-            config = RunConfig(corpus_path=str(corpus), methods=("lda", "nmf"),
-                               k_values=(2, 3), seed=3, jobs=jobs, out_dir=str(out))
-            run_experiment(config)
-            blobs.append((out / "summary" / "silhouette_by_k.csv").read_bytes())
-        assert blobs[0] == blobs[1]
-
     def test_crash_containment_keeps_other_cells(self, tmp_path):
         # ntf cannot fit k=4 with only 3 companies; lda/nmf cells must survive
         corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
@@ -228,6 +223,82 @@ class TestMainExitCodes:
         rows = read_csv_rows(tmp_path / "out" / "summary" / "silhouette_by_k.csv")
         assert [r["k"] for r in rows] == ["2", "3"]
 
+    def test_file_year_with_flag_filter_applies_both(self, tmp_path, capsys):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        cfg = write_config(tmp_path, corpus_path=str(corpus), methods=["lda"], k_values=[1],
+                           filters={"year": 2005})
+        code = main(["--config", str(cfg), "--filter", "category=coal",
+                     "--out", str(tmp_path / "out")])
+        assert code == 0
+        manifest = json.loads((tmp_path / "out" / "summary" / "manifest.json").read_text())
+        assert manifest["config"]["filters"] == {"year": [2005, 2005], "category": "coal"}
+        assert manifest["digest"]["documents_after_filters"] == 1
+
+    def test_unknown_filter_key_is_config_error(self, tmp_path, capsys):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        cfg = write_config(tmp_path, corpus_path=str(corpus), filters={"categroy": "coal"})
+        out = tmp_path / "out"
+        assert main(["--config", str(cfg), "--out", str(out)]) == 1
+        assert "categroy" in capsys.readouterr().out
+        assert main(["--corpus", str(corpus), "--filter", "categroy=coal", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings, named", [
+        ({"nmf": {"max_iters": 1}}, "nmf.max_iters"),
+        ({"nmf": {"max_sweeps": 1}}, "nmf.max_sweeps"),
+        ({"ntf": {"max_iter": 1}}, "ntf.max_iter"),
+        ({"nmf": {"max_iter": "abc"}}, "nmf.max_iter"),
+        ({"lda": {"max_sweeps": 3}}, "lda.max_sweeps"),
+        ({"lda": {"max_iter": True}}, "lda.max_iter"),
+        ({"nmf": {"max_iter": 30.0}}, "nmf.max_iter"),
+        ({"nmf": {"tol": False}}, "nmf.tol"),
+        ({"ntf": {"tol": "1e-6"}}, "ntf.tol"),
+        ({"jobs": 2}, "jobs"),
+    ])
+    def test_bad_setting_in_file_is_config_error(self, tmp_path, capsys, settings, named):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        cfg = write_config(tmp_path, corpus_path=str(corpus), methods=["nmf"], k_values=[2],
+                           **settings)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert named in capsys.readouterr().out
+        assert not (tmp_path / "out").exists()
+
+    def test_solver_setting_reaches_the_solver(self, tmp_path, capsys):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        cfg = write_config(tmp_path, corpus_path=str(corpus), methods=["nmf", "ntf"],
+                           k_values=[2], nmf={"max_iter": 1}, ntf={"max_sweeps": 2, "tol": 0})
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        nmf = json.loads((tmp_path / "out" / "nmf" / "k2" / "model.json").read_text())
+        ntf = json.loads((tmp_path / "out" / "ntf" / "k2" / "model.json").read_text())
+        assert len(nmf["trace"]) == 2  # the initial point and one update
+        assert len(ntf["trace"]) == 2
+
+    def test_flags_and_file_give_the_same_config(self, tmp_path, capsys):
+        corpus = str(write_mini_corpus(tmp_path / "corpus.jsonl"))
+        out = str(tmp_path / "out")
+        file_only = write_config(
+            tmp_path, corpus_path=corpus, corpus_format="jsonl", methods=["nmf"],
+            k_values=[2, 3], seed=4, min_df=2, out_dir=out,
+            filters={"year": [2000, 2009], "category": "coal"}, extra_stopwords=["seam"],
+            select_margin=0.05, n_keywords=10,
+        )
+        flags_only = ["--corpus", corpus, "--format", "jsonl", "--methods", "nmf",
+                      "--k", "2:3", "--seed", "4", "--min-df", "2", "--out", out,
+                      "--filter", "year=2000:2009", "--filter", "category=coal",
+                      "--extra-stopwords", "seam", "--margin", "0.05", "--keywords", "10"]
+        mixed = write_config(tmp_path, name="mixed.json", corpus_path=corpus,
+                             methods=["nmf"], k_values=[2, 3],
+                             filters={"year": "2000:2009"}, extra_stopwords=["seam"])
+        configs = []
+        for argv in (["--config", str(file_only)], flags_only,
+                     ["--config", str(mixed), "--seed", "4", "--min-df", "2", "--out", out,
+                      "--filter", "category=coal", "--margin", "0.05", "--keywords", "10"]):
+            assert main(argv) == 0
+            manifest = json.loads((tmp_path / "out" / "summary" / "manifest.json").read_text())
+            configs.append(manifest["config"])
+        assert configs[0] == configs[1] == configs[2]
+        assert configs[0]["filters"] == {"year": [2000, 2009], "category": "coal"}
+
 
 class TestRunConfigValidation:
     def test_rejects_bad_values(self):
@@ -241,5 +312,31 @@ class TestRunConfigValidation:
             RunConfig(corpus_path="x", k_values=(0,))
         with pytest.raises(ConfigError):
             RunConfig(corpus_path="x", min_df=0)
-        with pytest.raises(ConfigError):
-            RunConfig(corpus_path="x", jobs=0)
+
+    def test_rejects_wrong_types(self):
+        for bad in ({"corpus_path": 5}, {"out_dir": None}, {"seed": "0"}, {"min_df": 1.5},
+                    {"n_keywords": None}, {"select_margin": "wide"}, {"k_values": (2.5,)},
+                    {"k_values": (True,)}, {"filters": ["year"]}, {"nmf": 300}):
+            with pytest.raises(ConfigError):
+                RunConfig(**{"corpus_path": "x", **bad})
+
+    def test_string_forms_match_lists(self):
+        assert RunConfig(corpus_path="x", methods="lda,nmf", k_values="2:4",
+                         extra_stopwords="coal,drill") == \
+            RunConfig(corpus_path="x", methods=["lda", "nmf"], k_values=[2, 3, 4],
+                      extra_stopwords=("coal", "drill"))
+
+    @pytest.mark.parametrize("year, expected", [
+        (2005, (2005, 2005)),
+        ([2000, 2009], (2000, 2009)),
+        ("2005", (2005, 2005)),
+        ("2000:2009", (2000, 2009)),
+    ])
+    def test_year_filter_forms(self, year, expected):
+        config = RunConfig(corpus_path="x", filters={"year": year, "category": "coal"})
+        assert config.filters == {"year": expected, "category": "coal"}
+
+    @pytest.mark.parametrize("year", ["20x5", "2000:", [2000, 2009, 2010], 2005.0, True, None])
+    def test_bad_year_filter_rejected(self, year):
+        with pytest.raises(ConfigError, match="year filter"):
+            RunConfig(corpus_path="x", filters={"year": year})

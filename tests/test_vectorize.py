@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from topickit.vectorize import (
     build_vocabulary,
     tf_matrix,
     tfidf_matrix,
-    write_sparse,
 )
 
 from conftest import random_tokenized, toks
@@ -170,35 +168,9 @@ class TestTensor:
 
 
 class TestSparseExport:
-    def test_matrix_format(self):
-        docs = [toks("d1", ["coal", "coal", "seam"]), toks("d2", ["seam"])]
-        vocab = build_vocabulary(docs)
-        buf = io.StringIO()
-        write_sparse(buf, tf_matrix(docs, vocab))
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "dims 2 2"
-        parsed = [line.split() for line in lines[1:]]
-        assert parsed == sorted(parsed, key=lambda p: (int(p[0]), int(p[1])))
-        assert len(parsed) == 3
-
-    def test_tensor_format_roundtrip_values(self):
-        docs = [toks("d1", ["coal", "coal"]), toks("d2", ["seam"])]
-        vocab = build_vocabulary(docs)
-        tensor = build_tensor(docs, vocab, {"d1": "a", "d2": "b"})
-        buf = io.StringIO()
-        write_sparse(buf, tensor)
-        lines = buf.getvalue().splitlines()
-        d, v, c = lines[0].split()[1:]
-        assert (int(d), int(v), int(c)) == (2, 2, 2)
-        total = sum(float(line.split()[3]) for line in lines[1:])
-        assert total == tensor.values.sum()
-
     def test_byte_identical_rebuild(self, rng):
         docs = random_tokenized(rng, n_docs=6, vocab_size=10)
         vocab = build_vocabulary(docs)
-        out = []
-        for _ in range(2):
-            buf = io.StringIO()
-            write_sparse(buf, tfidf_matrix(docs, vocab))
-            out.append(buf.getvalue())
-        assert out[0] == out[1]
+        first, second = (tfidf_matrix(docs, vocab).values for _ in range(2))
+        for name in ("indptr", "indices", "data"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
