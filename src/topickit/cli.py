@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CorpusError, RawDocument, StopwordList, load_corpus, preprocess_corpus
-from .evaluate import EvaluationReport, build_report
-from .export import atomic_write_text, sig12, write_factor_csv, write_json
+from .evaluate import build_report
+from .export import write_csv, write_factor_csv, write_json
 from .lda import LdaConfig, fit_lda
 from .nmf import fit_nmf
 from .ntf import fit_ntf
@@ -136,6 +136,10 @@ class RunConfig:
         if not all(_is_int(k) and k >= 1 for k in self.k_values):
             raise ConfigError(f"every K must be an integer >= 1, got {self.k_values!r}")
         self.k_values = tuple(int(k) for k in self.k_values)
+        # A repeat would run and write the same cell twice.
+        for name, values in (("methods", self.methods), ("k_values", self.k_values)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats a value: {values!r}")
         for name in ("corpus_path", "corpus_format", "out_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string")
@@ -171,12 +175,14 @@ class RunConfig:
 
 @dataclass
 class RunManifest:
+    """What ``manifest.json`` holds, in its order."""
+
+    tool_version: str
     config: dict
     digest: dict
     cells: list[dict]
     selection: dict
     notices: list[str]
-    tool_version: str
 
     @property
     def failures(self) -> list[dict]:
@@ -235,97 +241,55 @@ def _fit_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig):
     return model.doc_factor, model.term_factor.T, model.company_factor, meta
 
 
-def _export_cell(
-    cell_dir: Path,
-    method: str,
-    k: int,
-    bundle: _CorpusBundle,
-    doc_topic,
-    topic_term,
-    company_factor,
-    meta: dict,
-    report: EvaluationReport,
-    config: RunConfig,
-) -> None:
-    write_factor_csv(cell_dir / "doc_topic.csv", "doc_id", bundle.tf.doc_ids, doc_topic)
-    write_factor_csv(
-        cell_dir / "topic_term.csv",
-        "topic",
-        range(k),
-        topic_term,
-        column_names=list(bundle.vocab.index_to_term),
-    )
-    if company_factor is not None:
-        write_factor_csv(
-            cell_dir / "company_topic.csv",
-            "company_id",
-            bundle.tensor.company_ids,
-            company_factor,
-        )
-    write_json(cell_dir / "model.json", {
-        "method": method,
-        "k": k,
-        "seed": config.seed,
-        **meta,
-    })
-    write_json(cell_dir / "report.json", report.to_dict())
-
-    if report.silhouette_documents is not None:
-        lines = ["doc_id,silhouette"]
-        for doc_id, value in zip(bundle.tf.doc_ids, report.silhouette_documents.per_sample):
-            lines.append(f"{doc_id},{sig12(value)}")
-        atomic_write_text(cell_dir / "silhouette_samples.csv", "\n".join(lines) + "\n")
-
-    lines = ["topic,rank,term"]
-    for t, terms in enumerate(report.topic_keywords):
-        for rank, term in enumerate(terms):
-            lines.append(f"{t},{rank},{term}")
-    atomic_write_text(cell_dir / "keywords.csv", "\n".join(lines) + "\n")
-
-
 def _run_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig, out_dir: Path) -> dict:
+    """Fit, evaluate and write one (method, K) cell; return its manifest row."""
     started = time.perf_counter()
-    result = {
-        "method": method,
-        "k": k,
-        "status": "ok",
-        "error": None,
-        "silhouette_documents": None,
-        "silhouette_companies": None,
-        "keyword_match_mean": None,
-        "decisiveness": None,
-        "seconds": None,
-    }
+    cell_dir = out_dir / method / f"k{k}"
+    status, error = "ok", None
+    scores = dict.fromkeys(
+        ("silhouette_documents", "silhouette_companies", "keyword_match_mean", "decisiveness")
+    )
     try:
         doc_topic, topic_term, company_factor, meta = _fit_cell(method, k, bundle, config)
-        report = build_report(
-            method,
-            k,
-            doc_topic,
-            topic_term,
-            bundle.tf,
-            bundle.vocab,
-            bundle.doc_companies,
-            company_factor=company_factor,
-            company_ids=bundle.tensor.company_ids if company_factor is not None else None,
-            n_keywords=config.n_keywords,
-        )
-        _export_cell(
-            out_dir / method / f"k{k}", method, k, bundle,
-            doc_topic, topic_term, company_factor, meta, report, config,
-        )
-        if report.silhouette_documents is not None:
-            result["silhouette_documents"] = report.silhouette_documents.mean
-        if report.silhouette_companies is not None:
-            result["silhouette_companies"] = report.silhouette_companies.mean
-        result["keyword_match_mean"] = report.keyword_match_mean
-        result["decisiveness"] = report.decisiveness
+        company_ids = bundle.tensor.company_ids if company_factor is not None else None
+        report = build_report(method, k, doc_topic, topic_term, bundle.tf, bundle.vocab,
+                              bundle.doc_companies, company_factor=company_factor,
+                              company_ids=company_ids, n_keywords=config.n_keywords)
+        doc_ids = bundle.tf.doc_ids
+        write_factor_csv(cell_dir / "doc_topic.csv", "doc_id", doc_ids, doc_topic)
+        write_factor_csv(cell_dir / "topic_term.csv", "topic", range(k), topic_term,
+                         column_names=list(bundle.vocab.index_to_term))
+        if company_factor is not None:
+            write_factor_csv(cell_dir / "company_topic.csv", "company_id", company_ids,
+                             company_factor)
+        write_json(cell_dir / "model.json", {"method": method, "k": k, "seed": config.seed, **meta})
+        write_json(cell_dir / "report.json", report.to_dict())
+        documents, companies = report.silhouette_documents, report.silhouette_companies
+        if documents is not None:
+            write_csv(cell_dir / "silhouette_samples.csv", ("doc_id", "silhouette"),
+                      zip(doc_ids, documents.per_sample))
+        write_csv(cell_dir / "keywords.csv", ("topic", "rank", "term"), (
+            (t, rank, term)
+            for t, terms in enumerate(report.topic_keywords)
+            for rank, term in enumerate(terms)
+        ))
+        scores = {
+            "silhouette_documents": None if documents is None else documents.mean,
+            "silhouette_companies": None if companies is None else companies.mean,
+            "keyword_match_mean": report.keyword_match_mean,
+            "decisiveness": report.decisiveness,
+        }
     except Exception as exc:  # crash containment: one cell never kills the sweep
         logger.exception("cell (%s, k=%d) failed", method, k)
-        result["status"] = "failed"
-        result["error"] = f"{type(exc).__name__}: {exc}"
-    result["seconds"] = time.perf_counter() - started
-    return result
+        status, error = "failed", f"{type(exc).__name__}: {exc}"
+    seconds = time.perf_counter() - started
+    logger.info("cell (%s, k=%d): %s in %.2fs", method, k, status, seconds)
+    return {"method": method, "k": k, "status": status, "error": error, **scores,
+            "seconds": seconds}
+
+
+def _or_lowest(value) -> float:
+    return -np.inf if value is None else value
 
 
 def select_best(summaries: list[dict], margin: float = 0.02) -> dict:
@@ -333,66 +297,48 @@ def select_best(summaries: list[dict], margin: float = 0.02) -> dict:
 
     Per method: candidate Ks are those whose mean document silhouette is
     within ``margin`` of the method's maximum; among candidates the
-    highest mean keyword-match ratio wins, ties to the smaller K.  The
-    overall winner compares the per-method picks lexicographically on
-    (silhouette, keyword ratio).
+    highest mean keyword-match ratio wins, ties to the smaller K.  A
+    method with a single K takes it.  The overall winner compares the
+    per-method picks lexicographically on (silhouette, keyword ratio).
     """
     if not summaries:
         raise ValueError("no summaries to select from")
     per_method: dict[str, dict] = {}
-    methods = []
-    for row in summaries:
-        if row["method"] not in methods:
-            methods.append(row["method"])
-    for method in methods:
+    for method in dict.fromkeys(r["method"] for r in summaries):
         rows = [r for r in summaries if r["method"] == method]
-        notices = []
-        if len(rows) == 1:
-            only = rows[0]
-            notices.append("no sweep: single K value")
-            per_method[method] = {
-                "k": only["k"],
-                "silhouette": only["silhouette_documents"],
-                "keyword_match": only["keyword_match_mean"],
-                "notices": notices,
-            }
-            continue
         scored = [r for r in rows if r["silhouette_documents"] is not None]
-        if not scored:
-            per_method[method] = {
-                "k": None, "silhouette": None, "keyword_match": None,
-                "notices": ["no silhouette values available"],
-            }
-            continue
-        max_sil = max(r["silhouette_documents"] for r in scored)
-        candidates = [r for r in scored if r["silhouette_documents"] >= max_sil - margin]
-
-        def _rank(r):
-            ratio = r["keyword_match_mean"]
-            return (-(ratio if ratio is not None else -np.inf), r["k"])
-
-        best = min(candidates, key=_rank)
+        best, notices = {}, []
+        if len(rows) == 1:
+            best, notices = rows[0], ["no sweep: single K value"]
+        elif scored:
+            max_sil = max(r["silhouette_documents"] for r in scored)
+            candidates = [r for r in scored if r["silhouette_documents"] >= max_sil - margin]
+            best = min(candidates, key=lambda r: (-_or_lowest(r["keyword_match_mean"]), r["k"]))
+        else:
+            notices = ["no silhouette values available"]
         per_method[method] = {
-            "k": best["k"],
-            "silhouette": best["silhouette_documents"],
-            "keyword_match": best["keyword_match_mean"],
+            "k": best.get("k"),
+            "silhouette": best.get("silhouette_documents"),
+            "keyword_match": best.get("keyword_match_mean"),
             "notices": notices,
         }
 
-    ranked = [
-        (m, p) for m, p in per_method.items() if p["k"] is not None
-    ]
-    overall = None
-    if ranked:
-        def _overall_rank(item):
-            _, p = item
-            sil = p["silhouette"] if p["silhouette"] is not None else -np.inf
-            ratio = p["keyword_match"] if p["keyword_match"] is not None else -np.inf
-            return (-sil, -ratio, item[0])
-
-        best_method, best_pick = min(ranked, key=_overall_rank)
-        overall = {"method": best_method, "k": best_pick["k"]}
+    winner = min(
+        (m for m, pick in per_method.items() if pick["k"] is not None),
+        key=lambda m: (-_or_lowest(per_method[m]["silhouette"]),
+                       -_or_lowest(per_method[m]["keyword_match"]), m),
+        default=None,
+    )
+    overall = None if winner is None else {"method": winner, "k": per_method[winner]["k"]}
     return {"per_method": per_method, "overall": overall}
+
+
+def _stale_cells(out_dir: Path, ok_rows: list[dict]) -> list[str]:
+    """Cell directories under ``out_dir`` that this run did not write, as relative paths."""
+    written = {f"{r['method']}/k{r['k']}" for r in ok_rows}
+    found = (p.relative_to(out_dir).as_posix()
+             for m in KNOWN_METHODS for p in (out_dir / m).glob("k*") if p.is_dir())
+    return sorted(set(found) - written)
 
 
 def run_experiment(config: RunConfig) -> RunManifest:
@@ -449,18 +395,20 @@ def run_experiment(config: RunConfig) -> RunManifest:
     results = [
         _run_cell(m, k, bundle, config, out_dir) for m in config.methods for k in config.k_values
     ]
-    for res in results:
-        logger.info(
-            "cell (%s, k=%d): %s in %.2fs",
-            res["method"], res["k"], res["status"], res["seconds"],
-        )
-
     ok_rows = [r for r in results if r["status"] == "ok"]
+    stale = _stale_cells(out_dir, ok_rows)
+    if stale:
+        notices.append(
+            f"{len(stale)} cell(s) in the output directory not written by this run "
+            f"(left as they are): {', '.join(stale)}"
+        )
+        logger.warning(notices[-1])
+
     selection = (
         select_best(ok_rows, margin=config.select_margin)
         if ok_rows else {"per_method": {}, "overall": None}
     )
-    _write_summaries(out_dir / "summary", results, selection)
+    _write_summaries(out_dir / "summary", ok_rows, selection)
 
     digest = {
         "documents_loaded": n_loaded,
@@ -472,54 +420,29 @@ def run_experiment(config: RunConfig) -> RunManifest:
         "vocabulary_size": len(vocab),
     }
     manifest = RunManifest(
+        tool_version=_tool_version(),
         config=asdict(config),
         digest=digest,
         cells=results,
         selection=selection,
         notices=notices,
-        tool_version=_tool_version(),
     )
-    write_json(out_dir / "summary" / "manifest.json", {
-        "tool_version": manifest.tool_version,
-        "config": manifest.config,
-        "digest": manifest.digest,
-        "cells": manifest.cells,
-        "selection": manifest.selection,
-        "notices": manifest.notices,
-    })
+    write_json(out_dir / "summary" / "manifest.json", asdict(manifest))
     return manifest
 
 
-def _write_summaries(summary_dir: Path, results: list[dict], selection: dict) -> None:
-    def _cell_key(r):
-        return (r["method"], r["k"])
-
-    rows = sorted((r for r in results if r["status"] == "ok"), key=_cell_key)
-
-    def _opt(value):
-        return "" if value is None else sig12(value)
-
-    lines = ["method,k,silhouette_documents,silhouette_companies"]
-    for r in rows:
-        lines.append(
-            f"{r['method']},{r['k']},{_opt(r['silhouette_documents'])},"
-            f"{_opt(r['silhouette_companies'])}"
-        )
-    atomic_write_text(summary_dir / "silhouette_by_k.csv", "\n".join(lines) + "\n")
-
-    lines = ["method,k,keyword_match_mean"]
-    for r in rows:
-        lines.append(f"{r['method']},{r['k']},{_opt(r['keyword_match_mean'])}")
-    atomic_write_text(summary_dir / "keyword_match_by_k.csv", "\n".join(lines) + "\n")
-
-    lines = ["method,k,decisiveness"]
-    for method, pick in sorted(selection["per_method"].items()):
-        if pick["k"] is None:
-            continue
-        match = [r for r in rows if r["method"] == method and r["k"] == pick["k"]]
-        if match:
-            lines.append(f"{method},{pick['k']},{_opt(match[0]['decisiveness'])}")
-    atomic_write_text(summary_dir / "decisiveness_by_method.csv", "\n".join(lines) + "\n")
+def _write_summaries(summary_dir: Path, ok_rows: list[dict], selection: dict) -> None:
+    rows = sorted(ok_rows, key=lambda r: (r["method"], r["k"]))
+    write_csv(summary_dir / "silhouette_by_k.csv",
+              ("method", "k", "silhouette_documents", "silhouette_companies"),
+              ((r["method"], r["k"], r["silhouette_documents"], r["silhouette_companies"])
+               for r in rows))
+    write_csv(summary_dir / "keyword_match_by_k.csv", ("method", "k", "keyword_match_mean"),
+              ((r["method"], r["k"], r["keyword_match_mean"]) for r in rows))
+    picks = {(method, pick["k"]) for method, pick in selection["per_method"].items()}
+    write_csv(summary_dir / "decisiveness_by_method.csv", ("method", "k", "decisiveness"),
+              ((r["method"], r["k"], r["decisiveness"]) for r in rows
+               if (r["method"], r["k"]) in picks))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -171,7 +171,7 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[RawDocument]:
     company_id, text and optional year, report_type, category.
     ``text-dir``: every ``*.txt`` file in the directory is one document
     (doc_id = file stem) and a sidecar ``manifest.csv`` with columns
-    doc_id, company_id supplies the metadata.
+    doc_id, company_id supplies the metadata, one row per file.
 
     Duplicate doc_ids and malformed records are rejected with the
     offending location named.
@@ -244,20 +244,27 @@ def _load_text_dir(path: Path) -> list[RawDocument]:
     manifest = path / "manifest.csv"
     if not manifest.is_file():
         raise CorpusError(f"text-dir corpus requires a sidecar manifest: {manifest}")
-    meta: dict[str, dict] = {}
+    texts = {txt.stem: txt for txt in sorted(path.glob("*.txt"))}
+    meta: dict[str, tuple[str, dict]] = {}  # doc_id -> (manifest line, row)
     with open(manifest, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"doc_id", "company_id"} <= set(reader.fieldnames):
             raise CorpusError(f"{manifest.name}: header must include doc_id, company_id")
         for row in reader:
-            meta[row["doc_id"]] = row
-
-    docs = []
-    for txt in sorted(path.glob("*.txt")):
-        doc_id = txt.stem
+            where, doc_id = f"{manifest.name}:{reader.line_num}", row["doc_id"]
+            if doc_id in meta:
+                raise CorpusError(f"{where}: duplicate doc_id {doc_id!r}")
+            meta[doc_id] = where, row
+    for doc_id, txt in texts.items():
         if doc_id not in meta:
             raise CorpusError(f"{txt.name}: no manifest row for doc_id {doc_id!r}")
-        row = meta[doc_id]
+    for doc_id, (where, _) in meta.items():
+        if doc_id not in texts:
+            raise CorpusError(f"{where}: no file {doc_id}.txt for doc_id {doc_id!r}")
+
+    docs = []
+    for doc_id, txt in texts.items():
+        row = meta[doc_id][1]
         docs.append(RawDocument(
             doc_id=doc_id,
             company_id=row["company_id"],

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["sig12", "atomic_write_text", "write_factor_csv", "write_json"]
+__all__ = ["sig12", "atomic_write_text", "write_csv", "write_factor_csv", "write_json"]
 
 
 def sig12(x) -> str:
@@ -36,6 +36,15 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def write_csv(path: Path, header, rows) -> None:
+    """Write a CSV: strings as given, numbers with ``sig12``, ``None`` as an empty cell."""
+    def cell(value) -> str:
+        return "" if value is None else value if isinstance(value, str) else sig12(value)
+
+    lines = [",".join(header), *(",".join(map(cell, row)) for row in rows)]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 def write_factor_csv(
     path: Path,
     id_column: str,
@@ -45,12 +54,10 @@ def write_factor_csv(
 ) -> None:
     """Write a factor matrix with a leading id column."""
     matrix = np.asarray(matrix)
-    k = matrix.shape[1]
-    names = column_names if column_names is not None else [f"topic_{j}" for j in range(k)]
-    lines = [",".join([id_column, *names])]
-    for rid, row in zip(row_ids, matrix):
-        lines.append(",".join([str(rid), *(sig12(v) for v in row)]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    if column_names is None:
+        column_names = [f"topic_{j}" for j in range(matrix.shape[1])]
+    rows = ([rid, *row] for rid, row in zip(row_ids, matrix.tolist()))
+    write_csv(path, [id_column, *column_names], rows)
 
 
 def _round_floats(obj):

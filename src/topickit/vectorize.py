@@ -186,25 +186,19 @@ def build_tensor(
     company_ids = tuple(sorted({company_map[d.doc_id] for d in docs}))
     company_index = {c: i for i, c in enumerate(company_ids)}
 
-    tf = _count_rows(docs, vocab)
-    coo = tf.tocoo()
-    doc_idx = coo.row.astype(np.int64)
-    term_idx = coo.col.astype(np.int64)
+    # CSR rows come out in (doc, term) order and a doc lies in one company,
+    # so the coordinates are already sorted by (doc, company, term).
+    tf = _count_rows(docs, vocab).tocoo()
     doc_company = np.array(
         [company_index[company_map[d.doc_id]] for d in docs], dtype=np.int64
     )
-    company_idx = doc_company[doc_idx]
-    values = coo.data.astype(np.float64)
-
-    order = np.lexsort((term_idx, company_idx, doc_idx))
     return DocCompanyTermTensor(
         shape=(len(docs), len(company_ids), len(vocab)),
-        doc_idx=doc_idx[order],
-        company_idx=company_idx[order],
-        term_idx=term_idx[order],
-        values=values[order],
+        doc_idx=tf.row.astype(np.int64),
+        company_idx=doc_company[tf.row],
+        term_idx=tf.col.astype(np.int64),
+        values=tf.data.astype(np.float64),
         company_index=company_index,
         doc_ids=tuple(d.doc_id for d in docs),
         company_ids=company_ids,
     )
-

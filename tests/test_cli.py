@@ -1,9 +1,11 @@
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from topickit import cli
 from topickit.cli import ConfigError, RunConfig, main, run_experiment, select_best
 
 
@@ -83,6 +85,33 @@ class TestSelectBest:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no summaries"):
             select_best([])
+
+    def test_method_without_silhouettes_is_not_picked(self):
+        summaries = [
+            {"method": "lda", "k": k, "silhouette_documents": None, "keyword_match_mean": 0.8}
+            for k in (2, 3)
+        ] + [
+            {"method": "nmf", "k": k, "silhouette_documents": 0.1, "keyword_match_mean": 0.2}
+            for k in (2, 3)
+        ]
+        result = select_best(summaries)
+        assert result["per_method"]["lda"] == {
+            "k": None, "silhouette": None, "keyword_match": None,
+            "notices": ["no silhouette values available"],
+        }
+        assert result["overall"] == {"method": "nmf", "k": 2}
+        assert select_best(summaries[:2])["overall"] is None
+
+    def test_single_k_without_silhouette_is_still_picked(self):
+        summaries = [
+            {"method": "lda", "k": 1, "silhouette_documents": None, "keyword_match_mean": 0.5},
+        ]
+        result = select_best(summaries)
+        assert result["per_method"]["lda"] == {
+            "k": 1, "silhouette": None, "keyword_match": 0.5,
+            "notices": ["no sweep: single K value"],
+        }
+        assert result["overall"] == {"method": "lda", "k": 1}
 
 
 class TestRunExperiment:
@@ -168,6 +197,39 @@ class TestRunExperiment:
         assert failed == {("ntf", 4)}
         assert (out / "lda" / "k4" / "report.json").is_file()
         assert (out / "ntf" / "k2" / "report.json").is_file()
+
+    def test_stale_cells_are_listed_not_deleted(self, tmp_path, caplog):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        out = tmp_path / "out"
+        run_experiment(RunConfig(corpus_path=str(corpus), methods=("lda", "nmf"),
+                                 k_values=(2, 3), seed=0, out_dir=str(out)))
+        with caplog.at_level(logging.WARNING, logger="topickit"):
+            manifest = run_experiment(RunConfig(corpus_path=str(corpus), methods=("lda",),
+                                                k_values=(2,), seed=0, out_dir=str(out)))
+        stale = [n for n in manifest.notices if "not written by this run" in n]
+        assert stale == [
+            "3 cell(s) in the output directory not written by this run "
+            "(left as they are): lda/k3, nmf/k2, nmf/k3"
+        ]
+        assert stale[0] in caplog.text
+        assert (out / "lda" / "k3" / "report.json").is_file()
+        saved = json.loads((out / "summary" / "manifest.json").read_text())
+        assert saved["notices"] == manifest.notices
+
+    def test_failed_cell_directory_is_listed(self, tmp_path, monkeypatch):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        config = RunConfig(corpus_path=str(corpus), methods=("ntf",), k_values=(2,),
+                           seed=0, out_dir=str(tmp_path / "out"))
+        assert not any("not written" in n for n in run_experiment(config).notices)
+
+        def broken_fit(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "fit_ntf", broken_fit)
+        manifest = run_experiment(config)
+        assert [c["status"] for c in manifest.cells] == ["failed"]
+        assert any(n.endswith("not written by this run (left as they are): ntf/k2")
+                   for n in manifest.notices)
 
     def test_year_filter(self, tmp_path):
         corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
@@ -312,6 +374,12 @@ class TestRunConfigValidation:
             RunConfig(corpus_path="x", k_values=(0,))
         with pytest.raises(ConfigError):
             RunConfig(corpus_path="x", min_df=0)
+
+    def test_rejects_repeated_methods_and_k(self):
+        with pytest.raises(ConfigError, match=r"k_values repeats a value: \(3, 3\)"):
+            RunConfig(corpus_path="x", k_values="3,3")
+        with pytest.raises(ConfigError, match="methods repeats a value"):
+            RunConfig(corpus_path="x", methods="nmf,lda,nmf")
 
     def test_rejects_wrong_types(self):
         for bad in ({"corpus_path": 5}, {"out_dir": None}, {"seed": "0"}, {"min_df": 1.5},

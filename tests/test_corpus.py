@@ -209,3 +209,21 @@ class TestLoadTextDir:
         (tmp_path / "manifest.csv").write_text("doc_id,company_id\nother,c1\n")
         with pytest.raises(CorpusError, match="no manifest row"):
             load_corpus(tmp_path, "text-dir")
+
+    def test_duplicate_manifest_row(self, tmp_path):
+        (tmp_path / "a.txt").write_text("coal")
+        (tmp_path / "manifest.csv").write_text("doc_id,company_id\na,c1\na,c2\n")
+        with pytest.raises(CorpusError, match=r"manifest\.csv:3: duplicate doc_id 'a'"):
+            load_corpus(tmp_path, "text-dir")
+
+    def test_manifest_row_without_text_file(self, tmp_path):
+        (tmp_path / "a.txt").write_text("coal")
+        (tmp_path / "manifest.csv").write_text("doc_id,company_id\na,c1\nghost,c3\n")
+        with pytest.raises(CorpusError, match=r"manifest\.csv:3: no file ghost\.txt .*'ghost'"):
+            load_corpus(tmp_path, "text-dir")
+
+    def test_duplicate_reported_before_missing_file(self, tmp_path):
+        (tmp_path / "a.txt").write_text("coal")
+        (tmp_path / "manifest.csv").write_text("doc_id,company_id\na,c1\na,c2\nghost,c3\n")
+        with pytest.raises(CorpusError, match=r"manifest\.csv:3: duplicate doc_id 'a'"):
+            load_corpus(tmp_path, "text-dir")

@@ -160,6 +160,17 @@ class TestTensor:
             assert diff.nnz == 0
             assert tensor.nnz == tf.values.nnz
 
+    def test_coordinates_sorted_by_doc_company_term(self, rng):
+        for _ in range(50):
+            docs = random_tokenized(rng, n_docs=int(rng.integers(1, 15)),
+                                    vocab_size=int(rng.integers(2, 25)))
+            vocab = build_vocabulary(docs)
+            companies = {d.doc_id: f"c{rng.integers(0, 5)}" for d in docs}
+            tensor = build_tensor(docs, vocab, companies)
+            coords = list(zip(tensor.doc_idx.tolist(), tensor.company_idx.tolist(),
+                              tensor.term_idx.tolist()))
+            assert coords == sorted(set(coords))
+
     def test_unknown_company_rejected(self):
         docs = [toks("d1", ["coal"])]
         vocab = build_vocabulary(docs)
