@@ -245,23 +245,23 @@ def _run_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig, out
     """Fit, evaluate and write one (method, K) cell; return its manifest row."""
     started = time.perf_counter()
     cell_dir = out_dir / method / f"k{k}"
-    status, error = "ok", None
+    status, error, converged = "ok", None, None
     scores = dict.fromkeys(
         ("silhouette_documents", "silhouette_companies", "keyword_match_mean", "decisiveness")
     )
     try:
         doc_topic, topic_term, company_factor, meta = _fit_cell(method, k, bundle, config)
-        company_ids = bundle.tensor.company_ids if company_factor is not None else None
+        converged = meta["converged"]
         report = build_report(method, k, doc_topic, topic_term, bundle.tf, bundle.vocab,
                               bundle.doc_companies, company_factor=company_factor,
-                              company_ids=company_ids, n_keywords=config.n_keywords)
+                              company_ids=bundle.tensor.company_ids, n_keywords=config.n_keywords)
         doc_ids = bundle.tf.doc_ids
         write_factor_csv(cell_dir / "doc_topic.csv", "doc_id", doc_ids, doc_topic)
         write_factor_csv(cell_dir / "topic_term.csv", "topic", range(k), topic_term,
                          column_names=list(bundle.vocab.index_to_term))
         if company_factor is not None:
-            write_factor_csv(cell_dir / "company_topic.csv", "company_id", company_ids,
-                             company_factor)
+            write_factor_csv(cell_dir / "company_topic.csv", "company_id",
+                             bundle.tensor.company_ids, company_factor)
         write_json(cell_dir / "model.json", {"method": method, "k": k, "seed": config.seed, **meta})
         write_json(cell_dir / "report.json", report.to_dict())
         documents, companies = report.silhouette_documents, report.silhouette_companies
@@ -284,8 +284,8 @@ def _run_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig, out
         status, error = "failed", f"{type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - started
     logger.info("cell (%s, k=%d): %s in %.2fs", method, k, status, seconds)
-    return {"method": method, "k": k, "status": status, "error": error, **scores,
-            "seconds": seconds}
+    return {"method": method, "k": k, "status": status, "error": error,
+            "converged": converged, **scores, "seconds": seconds}
 
 
 def _or_lowest(value) -> float:
@@ -395,6 +395,10 @@ def run_experiment(config: RunConfig) -> RunManifest:
     results = [
         _run_cell(m, k, bundle, config, out_dir) for m in config.methods for k in config.k_values
     ]
+    unconverged = [f"{r['method']}/k{r['k']}" for r in results if r["converged"] is False]
+    if unconverged:
+        notices.append(f"{len(unconverged)} cell(s) did not converge: {', '.join(unconverged)}")
+        logger.warning(notices[-1])
     ok_rows = [r for r in results if r["status"] == "ok"]
     stale = _stale_cells(out_dir, ok_rows)
     if stale:
@@ -541,13 +545,13 @@ def main(argv=None) -> int:
         return 1
 
     failures = manifest.failures
-    if failures:
-        for cell in failures:
-            print(f"cell ({cell['method']}, k={cell['k']}) failed: {cell['error']}")
-        print(f"{len(failures)} of {len(manifest.cells)} cells failed; partial results kept")
-        return 3
-    print(f"done: artifacts under {config.out_dir}")
-    return 0
+    for cell in failures:
+        print(f"cell ({cell['method']}, k={cell['k']}) failed: {cell['error']}")
+    outcome = (f"{len(failures)} of {len(manifest.cells)} cells failed; partial results kept"
+               if failures else f"done: artifacts under {config.out_dir}")
+    unconverged = sum(c["converged"] is False for c in manifest.cells)
+    print(f"{outcome}; {unconverged} cell(s) did not converge")
+    return 3 if failures else 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ deliberate and matched by the tests.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import re
@@ -173,8 +174,8 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[RawDocument]:
     (doc_id = file stem) and a sidecar ``manifest.csv`` with columns
     doc_id, company_id supplies the metadata, one row per file.
 
-    Duplicate doc_ids and malformed records are rejected with the
-    offending location named.
+    Duplicate doc_ids, invalid UTF-8 and malformed records are rejected
+    with the offending location named first.
     """
     path = Path(path)
     if not path.exists():
@@ -185,57 +186,79 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[RawDocument]:
         docs = _load_text_dir(path)
     else:
         raise CorpusError(f"unknown corpus format: {format!r}")
-
-    seen: set[str] = set()
-    for doc in docs:
-        if doc.doc_id in seen:
-            raise CorpusError(f"duplicate doc_id {doc.doc_id!r}")
-        seen.add(doc.doc_id)
     if not docs:
         warnings.warn(f"corpus at {path} is empty", stacklevel=2)
     return docs
 
 
-def _coerce_year(value, where: str) -> int | None:
-    if value is None:
-        return None
+def _coerce_year(value) -> int | None:
+    """A year from an integer, an integral number or an integer string."""
+    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise CorpusError(f"{where}: year must be an integer, got {value!r}") from None
+        if isinstance(value, str) or (isinstance(value, float) and value.is_integer()):
+            return int(value)
+    except ValueError:
+        pass
+    raise CorpusError(f"year must be an integer, got {value!r}")
+
+
+def _document(record: dict, where: str) -> RawDocument:
+    """A RawDocument from a record whose fields have the types the formats allow."""
+    try:
+        for key in ("doc_id", "company_id"):
+            if isinstance(record[key], bool) or not isinstance(record[key], (str, int)):
+                raise CorpusError(f"{key} must be a string or an integer, got {record[key]!r}")
+        if not isinstance(record["text"], str):
+            raise CorpusError(f"text must be a string, got {record['text']!r}")
+        for key in ("report_type", "category"):
+            if not isinstance(record.get(key), (str, type(None))):
+                raise CorpusError(f"{key} must be a string or null, got {record[key]!r}")
+        return RawDocument(
+            doc_id=str(record["doc_id"]),
+            company_id=str(record["company_id"]),
+            text=record["text"],
+            year=_coerce_year(record.get("year")),
+            report_type=record.get("report_type"),
+            category=record.get("category"),
+        )
+    except CorpusError as exc:
+        raise CorpusError(f"{where}: {exc}") from None
 
 
 def _load_jsonl(path: Path) -> list[RawDocument]:
     if not path.is_file():
         raise CorpusError(f"not a file: {path}")
-    docs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    docs: dict[str, RawDocument] = {}
+    with open(path, "rb") as fh:  # JSON Lines: records end at b"\n"
+        for lineno, raw in enumerate(fh, start=1):
             where = f"{path.name}:{lineno}"
+            if not raw.strip():
+                continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusError(f"{where}: malformed JSON ({exc.msg})") from None
+                record = json.loads(raw.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise CorpusError(f"{where}: not valid UTF-8 at byte {exc.start}") from None
+            except (ValueError, RecursionError) as exc:  # also huge integers, deep nesting
+                raise CorpusError(f"{where}: malformed JSON ({getattr(exc, 'msg', exc)})") from None
             if not isinstance(record, dict):
                 raise CorpusError(f"{where}: record is not an object")
             missing = [k for k in ("doc_id", "company_id", "text") if k not in record]
             if missing:
                 raise CorpusError(f"{where}: missing required key(s) {', '.join(missing)}")
-            try:
-                doc = RawDocument(
-                    doc_id=str(record["doc_id"]),
-                    company_id=str(record["company_id"]),
-                    text=str(record["text"]),
-                    year=_coerce_year(record.get("year"), where),
-                    report_type=record.get("report_type"),
-                    category=record.get("category"),
-                )
-            except CorpusError as exc:
-                raise CorpusError(f"{where}: {exc}") from None
-            docs.append(doc)
-    return docs
+            doc = _document(record, where)
+            if doc.doc_id in docs:
+                raise CorpusError(f"{where}: duplicate doc_id {doc.doc_id!r}")
+            docs[doc.doc_id] = doc
+    return list(docs.values())
+
+
+def _read_utf8(path: Path) -> str:
+    """A file's text with its line ends as they are; invalid UTF-8 is a CorpusError."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path.name}: not valid UTF-8 at byte {exc.start}") from None
 
 
 def _load_text_dir(path: Path) -> list[RawDocument]:
@@ -246,8 +269,8 @@ def _load_text_dir(path: Path) -> list[RawDocument]:
         raise CorpusError(f"text-dir corpus requires a sidecar manifest: {manifest}")
     texts = {txt.stem: txt for txt in sorted(path.glob("*.txt"))}
     meta: dict[str, tuple[str, dict]] = {}  # doc_id -> (manifest line, row)
-    with open(manifest, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(_read_utf8(manifest), newline=""))
+    try:
         if reader.fieldnames is None or not {"doc_id", "company_id"} <= set(reader.fieldnames):
             raise CorpusError(f"{manifest.name}: header must include doc_id, company_id")
         for row in reader:
@@ -255,6 +278,8 @@ def _load_text_dir(path: Path) -> list[RawDocument]:
             if doc_id in meta:
                 raise CorpusError(f"{where}: duplicate doc_id {doc_id!r}")
             meta[doc_id] = where, row
+    except csv.Error as exc:
+        raise CorpusError(f"{manifest.name}:{reader.line_num}: malformed CSV ({exc})") from None
     for doc_id, txt in texts.items():
         if doc_id not in meta:
             raise CorpusError(f"{txt.name}: no manifest row for doc_id {doc_id!r}")
@@ -264,13 +289,8 @@ def _load_text_dir(path: Path) -> list[RawDocument]:
 
     docs = []
     for doc_id, txt in texts.items():
-        row = meta[doc_id][1]
-        docs.append(RawDocument(
-            doc_id=doc_id,
-            company_id=row["company_id"],
-            text=txt.read_text("utf-8"),
-            year=_coerce_year(row.get("year") or None, txt.name),
-            report_type=row.get("report_type") or None,
-            category=row.get("category") or None,
-        ))
+        where, row = meta[doc_id]
+        record = {key: row.get(key) or None
+                  for key in ("company_id", "year", "report_type", "category")}
+        docs.append(_document({**record, "doc_id": doc_id, "text": _read_utf8(txt)}, where))
     return docs

@@ -8,7 +8,7 @@ be cross-checked by a naive reimplementation (the tests do exactly that).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -30,6 +30,8 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+_BLOCK_FLOATS = 2**22
+
 
 @dataclass(frozen=True)
 class Assignment:
@@ -42,10 +44,9 @@ class Assignment:
 
 @dataclass(frozen=True)
 class SilhouetteResult:
-    per_sample: np.ndarray  # in [-1, 1]
     mean: float
-    k: int
-    distance: str
+    per_sample: np.ndarray  # in [-1, 1]
+    distance: str = "euclidean"
 
 
 def argmax_assign(weights, ids) -> Assignment:
@@ -61,53 +62,44 @@ def argmax_assign(weights, ids) -> Assignment:
     return Assignment(entity_ids=ids, labels=np.argmax(w, axis=1), k=w.shape[1])
 
 
-def silhouette(points, labels, metric: str = "euclidean") -> SilhouetteResult:
-    """Per-sample silhouette coefficients ``(b - a) / max(a, b)``.
+def silhouette(points, labels) -> SilhouetteResult:
+    """Per-sample Euclidean silhouette coefficients ``(b - a) / max(a, b)``.
 
     ``a`` is the mean distance to the sample's own cluster (excluding
     itself), ``b`` the smallest mean distance to any other cluster.
     Samples in singleton clusters score 0, and the mean runs over all
     samples.  Requires at least two samples and two distinct labels.
+    Distances are computed one block of rows at a time, so at most
+    ``_BLOCK_FLOATS`` of them exist at once.
     """
-    if isinstance(labels, Assignment):
-        k = labels.k
-        label_arr = labels.labels
-    else:
-        label_arr = np.asarray(labels, dtype=np.int64)
-        k = int(label_arr.max()) + 1 if label_arr.size else 0
+    label_arr = labels.labels if isinstance(labels, Assignment) else np.asarray(labels)
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if n < 2:
         raise ValueError(f"silhouette needs at least 2 samples, got {n}")
     if len(label_arr) != n:
         raise ValueError(f"{len(label_arr)} labels for {n} samples")
-    uniq = np.unique(label_arr)
+    uniq, own = np.unique(label_arr, return_inverse=True)
     if len(uniq) < 2:
         raise ValueError("silhouette is undefined for a single cluster")
 
-    dist = cdist(pts, pts, metric=metric)
-    onehot = (label_arr[:, np.newaxis] == uniq[np.newaxis, :]).astype(np.float64)
-    cluster_sums = dist @ onehot  # (n, n_clusters)
+    rows = np.arange(n)
+    onehot = np.eye(len(uniq))[own]
+    step = max(1, _BLOCK_FLOATS // n)
+    cluster_sums = np.empty_like(onehot)  # (n, n_clusters) distance sums
+    for start in range(0, n, step):
+        cluster_sums[start:start + step] = cdist(pts[start:start + step], pts) @ onehot
     counts = onehot.sum(axis=0)
-    own_pos = np.searchsorted(uniq, label_arr)
+    own_counts = counts[own]
 
-    per_sample = np.zeros(n)
-    for i in range(n):
-        own = own_pos[i]
-        if counts[own] == 1:
-            continue  # singleton cluster scores 0
-        a = cluster_sums[i, own] / (counts[own] - 1)
-        other_means = np.delete(cluster_sums[i] / counts, own)
-        b = float(np.min(other_means))
-        denom = max(a, b)
-        if denom > 0:
-            per_sample[i] = (b - a) / denom
-    return SilhouetteResult(
-        per_sample=per_sample,
-        mean=float(per_sample.mean()),
-        k=k,
-        distance=metric,
-    )
+    a = cluster_sums[rows, own] / np.maximum(own_counts - 1, 1)
+    means = cluster_sums / counts
+    means[rows, own] = np.inf
+    b = means.min(axis=1)
+    denom = np.maximum(a, b)
+    scored = (own_counts > 1) & (denom > 0)  # singleton clusters score 0
+    per_sample = np.divide(b - a, denom, out=np.zeros(n), where=scored)
+    return SilhouetteResult(mean=float(per_sample.mean()), per_sample=per_sample)
 
 
 def _ranked_terms(weights_row: np.ndarray, vocab: Vocabulary, n: int) -> list[str]:
@@ -216,27 +208,19 @@ class EvaluationReport:
     notices: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "k": self.k,
-            "silhouette_documents": None if self.silhouette_documents is None else {
-                "mean": self.silhouette_documents.mean,
-                "per_sample": self.silhouette_documents.per_sample.tolist(),
-                "distance": self.silhouette_documents.distance,
-            },
-            "silhouette_companies": None if self.silhouette_companies is None else {
-                "mean": self.silhouette_companies.mean,
-                "per_sample": self.silhouette_companies.per_sample.tolist(),
-                "distance": self.silhouette_companies.distance,
-            },
-            "keyword_match_per_topic": self.keyword_match_per_topic,
-            "keyword_match_mean": self.keyword_match_mean,
-            "decisiveness": self.decisiveness,
-            "topic_sizes": self.topic_sizes,
-            "company_crosstab": self.company_crosstab,
-            "topic_keywords": self.topic_keywords,
-            "notices": self.notices,
-        }
+        return asdict(self)
+
+
+def _group_silhouette(points, assignment: Assignment, k: int, prefix: str, entities: str,
+                      notices: list[str]) -> SilhouetteResult | None:
+    """The silhouette of the argmax groups, or None and a notice when it is undefined."""
+    if k < 2:
+        notices.append(f"{prefix}silhouette skipped: K<2")
+    elif len(np.unique(assignment.labels)) < 2:
+        notices.append(f"{prefix}silhouette skipped: all {entities} in one group")
+    else:
+        return silhouette(points, assignment)
+    return None
 
 
 def build_report(
@@ -251,29 +235,20 @@ def build_report(
     company_ids: tuple[str, ...] | None = None,
     n_keywords: int = 30,
 ) -> EvaluationReport:
-    """Run the full evaluation protocol for one fitted model."""
+    """Run the full evaluation protocol for one fitted model.
+
+    A ``company_factor`` is scored by its own silhouette and needs ``company_ids``.
+    """
     notices: list[str] = []
     assignment = argmax_assign(doc_topic, tf.doc_ids)
-
-    sil_docs = None
-    if k < 2:
-        notices.append("silhouette skipped: K<2")
-    elif len(np.unique(assignment.labels)) < 2:
-        notices.append("silhouette skipped: all documents in one group")
-    else:
-        sil_docs = silhouette(doc_topic, assignment)
+    sil_docs = _group_silhouette(doc_topic, assignment, k, "", "documents", notices)
 
     sil_comp = None
     if company_factor is not None:
-        comp_assignment = argmax_assign(
-            company_factor, company_ids or [str(i) for i in range(len(company_factor))]
-        )
-        if k < 2:
-            notices.append("company silhouette skipped: K<2")
-        elif len(np.unique(comp_assignment.labels)) < 2:
-            notices.append("company silhouette skipped: all companies in one group")
-        else:
-            sil_comp = silhouette(company_factor, comp_assignment)
+        if company_ids is None:
+            raise ValueError("company_factor needs company_ids")
+        sil_comp = _group_silhouette(company_factor, argmax_assign(company_factor, company_ids),
+                                     k, "company ", "companies", notices)
 
     n_kw = min(n_keywords, tf.shape[1])
     if n_kw < n_keywords:

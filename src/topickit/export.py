@@ -65,7 +65,7 @@ def _round_floats(obj):
         return float(sig12(obj))
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [_round_floats(v) for v in obj]
     return obj
 

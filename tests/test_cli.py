@@ -231,6 +231,34 @@ class TestRunExperiment:
         assert any(n.endswith("not written by this run (left as they are): ntf/k2")
                    for n in manifest.notices)
 
+    def test_unconverged_cells_are_listed(self, tmp_path, caplog, capsys):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"corpus_path": str(corpus), "methods": ["nmf", "ntf"],
+                                   "k_values": [2, 4], "nmf": {"max_iter": 1},
+                                   "out_dir": str(out)}))
+        with caplog.at_level(logging.WARNING, logger="topickit"):
+            assert main(["--config", str(cfg)]) == 3
+        saved = json.loads((out / "summary" / "manifest.json").read_text())
+        converged = {f"{c['method']}/k{c['k']}": c["converged"] for c in saved["cells"]}
+        assert converged["nmf/k4"] is False and converged["ntf/k4"] is None  # ntf/k4 fails
+        for cell in ("nmf/k2", "nmf/k4", "ntf/k2"):
+            model = json.loads((out / cell / "model.json").read_text())
+            assert converged[cell] is model["converged"]
+        late = [cell for cell, flag in converged.items() if flag is False]
+        notice = f"{len(late)} cell(s) did not converge: {', '.join(late)}"
+        assert notice in saved["notices"] and notice in caplog.text
+        assert capsys.readouterr().out.endswith(
+            f"1 of 4 cells failed; partial results kept; {len(late)} cell(s) did not converge\n")
+
+        cfg.write_text(json.dumps({"corpus_path": str(corpus), "methods": ["ntf"],
+                                   "k_values": [2], "out_dir": str(out)}))
+        assert main(["--config", str(cfg)]) == 0
+        n_late = int(converged["ntf/k2"] is False)
+        assert capsys.readouterr().out.endswith(
+            f"done: artifacts under {out}; {n_late} cell(s) did not converge\n")
+
     def test_year_filter(self, tmp_path):
         corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
         config = RunConfig(corpus_path=str(corpus), methods=("lda",), k_values=(2,),
@@ -256,6 +284,28 @@ class TestMainExitCodes:
         code = main(["--corpus", str(tmp_path / "missing.jsonl"),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    def test_invalid_utf8_jsonl_is_2(self, tmp_path, capsys):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=2)
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1].replace(b"doc001", b"doc\xff\xfe")
+        corpus.write_bytes(b"".join(lines))
+        code = main(["--corpus", str(corpus), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "corpus error: corpus.jsonl:2: not valid UTF-8" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad_file", ["b.txt", "manifest.csv"])
+    def test_invalid_utf8_text_dir_is_2(self, tmp_path, capsys, bad_file):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("coal seam drill")
+        (corpus / "b.txt").write_text("gold vein assay")
+        (corpus / "manifest.csv").write_text("doc_id,company_id\na,c1\nb,c2\n")
+        (corpus / bad_file).write_bytes((corpus / bad_file).read_bytes() + b"\xff\xfe")
+        code = main(["--corpus", str(corpus), "--format", "text-dir",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"corpus error: {bad_file}: not valid UTF-8" in capsys.readouterr().out
 
     def test_partial_failure_is_3(self, tmp_path, capsys):
         corpus = write_mini_corpus(tmp_path / "corpus.jsonl")

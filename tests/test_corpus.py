@@ -1,5 +1,9 @@
+import csv
+import io
 import json
+import re
 
+import numpy as np
 import pytest
 
 from topickit.corpus import (
@@ -163,6 +167,14 @@ class TestLoadJsonl:
         with pytest.raises(CorpusError, match="corpus.jsonl:2"):
             load_corpus(path, "jsonl")
 
+    @pytest.mark.parametrize("line", ['{"doc_id": 1' + "0" * 5000 + "}", "[" * 100000],
+                             ids=["huge-integer", "deep-nesting"])
+    def test_unparsable_json_reports_line(self, tmp_path, line):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(CorpusError, match=r"^corpus\.jsonl:1: malformed JSON"):
+            load_corpus(path, "jsonl")
+
     def test_missing_key_reports_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"doc_id": "r1", "text": "coal"}) + "\n")
@@ -173,6 +185,40 @@ class TestLoadJsonl:
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"doc_id": "r1", "company_id": "c1", "text": " "}) + "\n")
         with pytest.raises(CorpusError, match="corpus.jsonl:1"):
+            load_corpus(path, "jsonl")
+
+    @pytest.mark.parametrize("key, value", [
+        ("doc_id", None), ("doc_id", True), ("doc_id", 1.5),
+        ("company_id", ["a"]), ("company_id", {"a": 1}), ("company_id", False),
+        ("text", 12345), ("text", None),
+        ("year", True), ("year", 2005.9), ("year", "2005.9"), ("year", [2005]),
+        ("report_type", 7), ("category", 7), ("category", ["coal"]),
+    ])
+    def test_wrong_field_type_names_line_and_key(self, tmp_path, key, value):
+        path = tmp_path / "corpus.jsonl"
+        good = {"doc_id": "r1", "company_id": "c1", "text": "coal seam"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "r2", key: value}))
+        with pytest.raises(CorpusError, match=rf"^corpus\.jsonl:2: {key} must be"):
+            load_corpus(path, "jsonl")
+
+    def test_integer_ids_and_years_accepted(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(
+            json.dumps({"doc_id": 12, "company_id": 7, "text": "coal", "year": "2005",
+                        "report_type": None, "category": "coal"}) + "\n"
+            + json.dumps({"doc_id": "r2", "company_id": "c1", "text": "gold", "year": 2006.0})
+        )
+        docs = load_corpus(path, "jsonl")
+        assert (docs[0].doc_id, docs[0].company_id, docs[0].year) == ("12", "7", 2005)
+        assert docs[0].report_type is None and docs[0].category == "coal"
+        assert docs[1].year == 2006
+
+    def test_duplicate_doc_id_names_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        record = {"doc_id": "r1", "company_id": "c1", "text": "coal"}
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "doc_id": 1}) + "\n"
+                        + json.dumps(record) + "\n")
+        with pytest.raises(CorpusError, match=r"^corpus\.jsonl:3: duplicate doc_id 'r1'"):
             load_corpus(path, "jsonl")
 
     def test_missing_path(self, tmp_path):
@@ -222,8 +268,106 @@ class TestLoadTextDir:
         with pytest.raises(CorpusError, match=r"manifest\.csv:3: no file ghost\.txt .*'ghost'"):
             load_corpus(tmp_path, "text-dir")
 
+    def test_metadata_errors_name_manifest_line(self, tmp_path):
+        (tmp_path / "a.txt").write_text("coal")
+        (tmp_path / "b.txt").write_text("gold")
+        (tmp_path / "manifest.csv").write_text("doc_id,company_id,year\na,c1,2001\nb\n")
+        with pytest.raises(CorpusError, match=r"^manifest\.csv:3: .*company_id"):
+            load_corpus(tmp_path, "text-dir")
+        (tmp_path / "manifest.csv").write_text("doc_id,company_id,year\na,c1,2001\nb,c2,x\n")
+        with pytest.raises(CorpusError, match=r"^manifest\.csv:3: year must be"):
+            load_corpus(tmp_path, "text-dir")
+
     def test_duplicate_reported_before_missing_file(self, tmp_path):
         (tmp_path / "a.txt").write_text("coal")
         (tmp_path / "manifest.csv").write_text("doc_id,company_id\na,c1\na,c2\nghost,c3\n")
         with pytest.raises(CorpusError, match=r"manifest\.csv:3: duplicate doc_id 'a'"):
             load_corpus(tmp_path, "text-dir")
+
+
+# A CorpusError message starts with the file (and line) it is about.
+_LOCATED = re.compile(r"^(corpus\.jsonl:\d+|manifest\.csv(:\d+)?|[\w-]+\.txt): ")
+_ODD_VALUES = [None, True, 12, 2005.9, float("nan"), "", " ", "x", "2005", ["a"], {"a": 1}]
+_BAD_BYTES = [b"\xff\xfe", b"\xc3", b"\x80", b"\x00", b"\n", b'"', b","]
+
+
+def _valid_records(n):
+    return [{"doc_id": f"r{i}", "company_id": f"c{i % 3}", "text": f"coal seam gold ore {i}",
+             "year": 2000 + i, "report_type": "annual", "category": "coal"} for i in range(n)]
+
+
+def _insert_bytes(rng, data: bytes) -> bytes:
+    at = int(rng.integers(0, len(data) + 1))
+    return data[:at] + _BAD_BYTES[rng.integers(len(_BAD_BYTES))] + data[at:]
+
+
+def _assert_loads_or_locates(path, format):
+    try:
+        load_corpus(path, format)
+    except CorpusError as exc:
+        assert _LOCATED.match(str(exc)), str(exc)
+
+
+class TestMalformedInput:
+    """Seeded mutations of valid corpora: every load succeeds or fails with a location."""
+
+    def test_jsonl(self, tmp_path):
+        rng = np.random.default_rng(20240531)
+        path = tmp_path / "corpus.jsonl"
+        for _ in range(300):
+            records = _valid_records(5)
+            for _ in range(int(rng.integers(1, 4))):
+                record = records[rng.integers(len(records))]
+                mutation = rng.integers(3)
+                if mutation == 0 and record:
+                    record.pop(list(record)[rng.integers(len(record))])
+                elif mutation == 1 and record:
+                    key = list(record)[rng.integers(len(record))]
+                    record[key] = _ODD_VALUES[rng.integers(len(_ODD_VALUES))]
+                else:
+                    record["doc_id"] = records[rng.integers(len(records))].get("doc_id", 0)
+            lines = [json.dumps(r).encode() for r in records]
+            if rng.random() < 0.3:
+                at = rng.integers(len(lines))
+                lines[at] = lines[at][:rng.integers(len(lines[at]))]
+            data = b"\n".join(lines) + b"\n"
+            if rng.random() < 0.3:
+                data = _insert_bytes(rng, data)
+            path.write_bytes(data)
+            _assert_loads_or_locates(path, "jsonl")
+
+    def test_text_dir(self, tmp_path):
+        rng = np.random.default_rng(20240601)
+        for trial in range(150):
+            root = tmp_path / f"t{trial}"
+            root.mkdir()
+            records = _valid_records(4)
+            for r in records:
+                (root / f"{r['doc_id']}.txt").write_text(r["text"], encoding="utf-8")
+            columns = ["doc_id", "company_id", "year", "report_type", "category"]
+            rows = [[str(r[c]) for c in columns] for r in records]
+            for _ in range(int(rng.integers(1, 4))):
+                row = rows[rng.integers(len(rows))]
+                mutation = rng.integers(5)
+                if mutation == 0 and row:
+                    row.pop(rng.integers(len(row)))  # a short row
+                elif mutation == 1:
+                    columns.pop(rng.integers(len(columns)))  # drop a header key
+                elif mutation == 2 and row:
+                    row[rng.integers(len(row))] = str(_ODD_VALUES[rng.integers(len(_ODD_VALUES))])
+                elif mutation == 3 and row:
+                    source = rows[rng.integers(len(rows))]
+                    row[0] = source[0] if source else "r0"  # a repeated id
+                else:
+                    txt = sorted(root.glob("*.txt"))[rng.integers(4)]
+                    txt.write_bytes(_insert_bytes(rng, txt.read_bytes()) if rng.random() < 0.7
+                                    else b"  \n")
+            out = io.StringIO()
+            csv.writer(out, lineterminator="\n").writerows([columns, *rows])
+            data = out.getvalue().encode()
+            if rng.random() < 0.2:
+                data = data[:rng.integers(len(data))]
+            if rng.random() < 0.3:
+                data = _insert_bytes(rng, data)
+            (root / "manifest.csv").write_bytes(data)
+            _assert_loads_or_locates(root, "text-dir")

@@ -1,9 +1,11 @@
+import json
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from topickit import evaluate
 from topickit.evaluate import (
     argmax_assign,
     build_report,
@@ -13,6 +15,7 @@ from topickit.evaluate import (
     silhouette,
     top_keywords,
 )
+from topickit.export import write_json
 from topickit.lda import LdaConfig, fit_lda
 from topickit.vectorize import build_vocabulary, tf_matrix
 
@@ -122,6 +125,29 @@ class TestSilhouette:
         points = np.array([[0.0], [1.0]])
         result = silhouette(points, np.array([0, 1]))
         assert result.distance == "euclidean"
+
+    def test_row_blocks_match_one_block(self, rng, monkeypatch):
+        points = rng.standard_normal((50, 3))
+        labels = rng.integers(0, 4, 50)
+        labels[7] = 9  # a singleton cluster
+        whole = silhouette(points, labels)
+
+        shapes, real_cdist = [], evaluate.cdist
+
+        def recording_cdist(a, b):
+            shapes.append((len(a), len(b)))
+            return real_cdist(a, b)
+
+        monkeypatch.setattr(evaluate, "_BLOCK_FLOATS", 16 * 50)
+        monkeypatch.setattr(evaluate, "cdist", recording_cdist)
+        blocked = silhouette(points, labels)
+        assert len(shapes) >= 3
+        assert all(rows * cols <= evaluate._BLOCK_FLOATS for rows, cols in shapes)
+        assert sum(rows for rows, _ in shapes) == 50
+        assert np.array_equal(blocked.per_sample, whole.per_sample)
+        assert blocked.mean == whole.mean
+        want = silhouette_oracle(points.tolist(), labels.tolist())
+        np.testing.assert_allclose(blocked.per_sample, want, atol=1e-9)
 
 
 class TestTopKeywords:
@@ -319,3 +345,30 @@ class TestBuildReport:
         assert report.silhouette_documents is None
         assert report.decisiveness is None
         assert any("K<2" in n for n in report.notices)
+
+    def test_company_factor_needs_company_ids(self, rng):
+        docs = random_tokenized(rng, n_docs=6, vocab_size=10)
+        vocab = build_vocabulary(docs)
+        tf = tf_matrix(docs, vocab)
+        weights = rng.uniform(0.1, 1.0, (6, 2))
+        with pytest.raises(ValueError, match="company_ids"):
+            build_report("ntf", 2, weights, rng.uniform(0.1, 1.0, (2, len(vocab))), tf, vocab,
+                         ["c0", "c1"] * 3, company_factor=rng.uniform(0.1, 1.0, (2, 2)))
+
+    def test_report_json_round_trip(self, rng, tmp_path):
+        docs = random_tokenized(rng, n_docs=8, vocab_size=10)
+        vocab = build_vocabulary(docs)
+        tf = tf_matrix(docs, vocab)
+        doc_topic = np.eye(2)[np.arange(8) % 2] + 0.1
+        company_factor = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]])
+        report = build_report("ntf", 2, doc_topic, rng.uniform(0.1, 1.0, (2, len(vocab))),
+                              tf, vocab, ["a", "b"] * 4, company_factor=company_factor,
+                              company_ids=("a", "b", "c"), n_keywords=5)
+        write_json(tmp_path / "report.json", report.to_dict())
+        saved = json.loads((tmp_path / "report.json").read_text())
+        for key in ("silhouette_documents", "silhouette_companies"):
+            result = getattr(report, key)
+            assert list(saved[key]) == ["mean", "per_sample", "distance"]
+            assert saved[key]["per_sample"] == [float(f"{x:.12g}") for x in result.per_sample]
+            assert saved[key]["distance"] == "euclidean"
+        assert saved["company_crosstab"] == {"a": [4, 0], "b": [0, 4]}
