@@ -6,82 +6,15 @@ x term representations of a corpus, then compares them with silhouette
 analysis, top-keyword matching and decisiveness statistics.
 """
 
-from .corpus import (
-    CorpusError,
-    RawDocument,
-    StopwordList,
-    TokenizedDocument,
-    load_corpus,
-    preprocess,
-    preprocess_corpus,
-    remove_stopwords,
-    stem,
-    tokenize,
-)
-from .evaluate import (
-    Assignment,
-    EvaluationReport,
-    SilhouetteResult,
-    argmax_assign,
-    build_report,
-    decisiveness,
-    group_frequent_terms,
-    keyword_match_ratio,
-    silhouette,
-    top_keywords,
-)
-from .lda import LdaConfig, LdaModel, fit_lda, lda_elbo
-from .nmf import NmfModel, fit_nmf, nmf_objective, nndsvd_init
-from .ntf import NtfModel, cp_reconstruction_error, fit_ntf
-from .vectorize import (
-    DocCompanyTermTensor,
-    DocTermMatrix,
-    Vocabulary,
-    build_tensor,
-    build_vocabulary,
-    tf_matrix,
-    tfidf_matrix,
-)
+from . import corpus, evaluate, lda, nmf, ntf, vectorize
+from .corpus import *
+from .evaluate import *
+from .lda import *
+from .nmf import *
+from .ntf import *
+from .vectorize import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CorpusError",
-    "RawDocument",
-    "TokenizedDocument",
-    "StopwordList",
-    "load_corpus",
-    "tokenize",
-    "remove_stopwords",
-    "stem",
-    "preprocess",
-    "preprocess_corpus",
-    "Vocabulary",
-    "DocTermMatrix",
-    "DocCompanyTermTensor",
-    "build_vocabulary",
-    "tf_matrix",
-    "tfidf_matrix",
-    "build_tensor",
-    "LdaConfig",
-    "LdaModel",
-    "fit_lda",
-    "lda_elbo",
-    "NmfModel",
-    "nndsvd_init",
-    "nmf_objective",
-    "fit_nmf",
-    "NtfModel",
-    "fit_ntf",
-    "cp_reconstruction_error",
-    "Assignment",
-    "SilhouetteResult",
-    "EvaluationReport",
-    "argmax_assign",
-    "silhouette",
-    "top_keywords",
-    "group_frequent_terms",
-    "keyword_match_ratio",
-    "decisiveness",
-    "build_report",
-]
+__all__ = [*corpus.__all__, *vectorize.__all__, *lda.__all__, *nmf.__all__, *ntf.__all__,
+           *evaluate.__all__]

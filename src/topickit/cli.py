@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
@@ -66,6 +67,15 @@ def _is_int(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_setting(name: str, value, integer: bool, low: int) -> None:
+    """Raise a ConfigError naming the setting unless it is an integer (or finite number) >= low."""
+    kind = "an integer" if integer else "a finite number"
+    if not (_is_int(value) if integer else (_is_real(value) and math.isfinite(value))):
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value!r}")
 
 
 def _comma_list(value) -> tuple:
@@ -143,13 +153,9 @@ class RunConfig:
         for name in ("corpus_path", "corpus_format", "out_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string")
-        for name in ("seed", "min_df", "n_keywords"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer")
-        if not _is_real(self.select_margin):
-            raise ConfigError("select_margin must be a number")
-        if self.min_df < 1:
-            raise ConfigError("min_df must be >= 1")
+        for name, low in (("seed", 0), ("min_df", 1), ("n_keywords", 1)):
+            _check_setting(name, getattr(self, name), True, low)
+        _check_setting("select_margin", self.select_margin, False, 0)
 
         if not isinstance(self.filters, dict):
             raise ConfigError("filters must be an object")
@@ -168,9 +174,8 @@ class RunConfig:
                     raise ConfigError(
                         f"unknown solver setting {method}.{key}; {method} takes {', '.join(keys)}"
                     )
-                if not (_is_real(value) if key == "tol" else _is_int(value)):
-                    kind = "a number" if key == "tol" else "an integer"
-                    raise ConfigError(f"{method}.{key} must be {kind}, got {value!r}")
+                cap = key != "tol"  # an iteration cap is an integer >= 1, tol a number >= 0
+                _check_setting(f"{method}.{key}", value, cap, 1 if cap else 0)
 
 
 @dataclass
@@ -219,8 +224,8 @@ def _fit_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig):
             "trace": list(model.elbo_trace),
             "trace_name": "elbo",
             "inner_updates": model.inner_updates,
-            "alpha": model.config.alpha,
-            "beta": model.config.beta,
+            "alpha": model.alpha,
+            "beta": model.beta,
         }
         return model.doc_topic, model.topic_term, None, meta
     if method == "nmf":

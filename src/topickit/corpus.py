@@ -26,8 +26,6 @@ __all__ = [
     "RawDocument",
     "TokenizedDocument",
     "StopwordList",
-    "EXTRA_STOPWORDS",
-    "load_base_stopwords",
     "load_corpus",
     "tokenize",
     "remove_stopwords",

@@ -16,7 +16,6 @@ from scipy.spatial.distance import cdist
 from .vectorize import DocTermMatrix, Vocabulary
 
 __all__ = [
-    "Assignment",
     "SilhouetteResult",
     "EvaluationReport",
     "argmax_assign",
@@ -34,32 +33,25 @@ _BLOCK_FLOATS = 2**22
 
 
 @dataclass(frozen=True)
-class Assignment:
-    """Hard entity-to-topic labels produced by the argmax rule."""
-
-    entity_ids: tuple[str, ...]
-    labels: np.ndarray  # int64 in [0, k)
-    k: int
-
-
-@dataclass(frozen=True)
 class SilhouetteResult:
     mean: float
     per_sample: np.ndarray  # in [-1, 1]
     distance: str = "euclidean"
 
 
-def argmax_assign(weights, ids) -> Assignment:
-    """Assign each row to its highest-weight column (lowest index on ties)."""
+def argmax_assign(weights, ids) -> np.ndarray:
+    """The label of each row: its highest-weight column (lowest index on ties).
+
+    ``ids`` names the rows and is only checked against their count.
+    """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 2 or w.size == 0:
         raise ValueError("weights must be a non-empty 2-d matrix")
     if np.isnan(w).any():
         raise ValueError("weights contain NaN")
-    ids = tuple(ids)
     if len(ids) != w.shape[0]:
         raise ValueError(f"{len(ids)} ids for {w.shape[0]} rows")
-    return Assignment(entity_ids=ids, labels=np.argmax(w, axis=1), k=w.shape[1])
+    return np.argmax(w, axis=1)
 
 
 def silhouette(points, labels) -> SilhouetteResult:
@@ -72,7 +64,7 @@ def silhouette(points, labels) -> SilhouetteResult:
     Distances are computed one block of rows at a time, so at most
     ``_BLOCK_FLOATS`` of them exist at once.
     """
-    label_arr = labels.labels if isinstance(labels, Assignment) else np.asarray(labels)
+    label_arr = np.asarray(labels)
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if n < 2:
@@ -117,9 +109,9 @@ def top_keywords(topic_term, vocab: Vocabulary, n: int = 30) -> list[list[str]]:
 
 
 def group_frequent_terms(
-    tf: DocTermMatrix, assignment: Assignment, vocab: Vocabulary, n: int = 30
+    tf: DocTermMatrix, labels: np.ndarray, k: int, vocab: Vocabulary, n: int = 30
 ) -> list[list[str]]:
-    """The n most frequent terms of each group's documents.
+    """The n most frequent terms of each of the groups ``0 .. k-1`` of ``labels``.
 
     Terms are ranked by total TF over the group's documents (ties
     lexicographic).  A group with no documents yields an empty list and a
@@ -130,12 +122,12 @@ def group_frequent_terms(
     n_docs, n_terms = tf.shape
     if n > n_terms:
         raise ValueError(f"n={n} exceeds vocabulary size {n_terms}")
-    if len(assignment.labels) != n_docs:
-        raise ValueError(f"{len(assignment.labels)} labels for {n_docs} documents")
+    if len(labels) != n_docs:
+        raise ValueError(f"{len(labels)} labels for {n_docs} documents")
 
     groups: list[list[str]] = []
-    for g in range(assignment.k):
-        members = np.flatnonzero(assignment.labels == g)
+    for g in range(k):
+        members = np.flatnonzero(labels == g)
         if len(members) == 0:
             logger.warning("group %d is empty; no frequent-term list", g)
             groups.append([])
@@ -211,15 +203,15 @@ class EvaluationReport:
         return asdict(self)
 
 
-def _group_silhouette(points, assignment: Assignment, k: int, prefix: str, entities: str,
+def _group_silhouette(points, labels: np.ndarray, k: int, prefix: str, entities: str,
                       notices: list[str]) -> SilhouetteResult | None:
     """The silhouette of the argmax groups, or None and a notice when it is undefined."""
     if k < 2:
         notices.append(f"{prefix}silhouette skipped: K<2")
-    elif len(np.unique(assignment.labels)) < 2:
+    elif len(np.unique(labels)) < 2:
         notices.append(f"{prefix}silhouette skipped: all {entities} in one group")
     else:
-        return silhouette(points, assignment)
+        return silhouette(points, labels)
     return None
 
 
@@ -240,8 +232,8 @@ def build_report(
     A ``company_factor`` is scored by its own silhouette and needs ``company_ids``.
     """
     notices: list[str] = []
-    assignment = argmax_assign(doc_topic, tf.doc_ids)
-    sil_docs = _group_silhouette(doc_topic, assignment, k, "", "documents", notices)
+    labels = argmax_assign(doc_topic, tf.doc_ids)
+    sil_docs = _group_silhouette(doc_topic, labels, k, "", "documents", notices)
 
     sil_comp = None
     if company_factor is not None:
@@ -254,7 +246,7 @@ def build_report(
     if n_kw < n_keywords:
         notices.append(f"keyword lists truncated to vocabulary size {n_kw}")
     keywords = top_keywords(topic_term, vocab, n=n_kw)
-    group_terms = group_frequent_terms(tf, assignment, vocab, n=n_kw)
+    group_terms = group_frequent_terms(tf, labels, k, vocab, n=n_kw)
     for g, terms in enumerate(group_terms):
         if not terms:
             notices.append(f"group {g} is empty; keyword ratio undefined")
@@ -266,9 +258,9 @@ def build_report(
     else:
         dec = decisiveness(doc_topic)
 
-    topic_sizes = np.bincount(assignment.labels, minlength=k).tolist()
+    topic_sizes = np.bincount(labels, minlength=k).tolist()
     crosstab: dict[str, list[int]] = {}
-    for company, label in zip(doc_companies, assignment.labels):
+    for company, label in zip(doc_companies, labels):
         crosstab.setdefault(company, [0] * k)[label] += 1
 
     return EvaluationReport(

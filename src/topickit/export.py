@@ -1,8 +1,9 @@
 """CSV/JSON artifact writers shared by the three model engines.
 
-Every numeric value is printed with 12 significant digits and every file
-is written atomically (temp file + rename), so reruns with the same seed
-produce byte-identical artifacts and parallel writers never interleave.
+Every numeric value is printed with 12 significant digits, so reruns
+with the same seed produce byte-identical artifacts.  Every file is
+written atomically (temp file + rename), so an interrupted run never
+leaves a partial file behind.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ collapsed out, so every gamma update and every lambda update is an exact
 block coordinate-ascent step on it: the recorded bound is non-decreasing
 up to floating-point noise for any number of inner updates.
 
-Stored matrices are the normalised variational means: each row of
-``doc_topic`` and ``topic_term`` is a probability distribution.
+Both Dirichlet priors are symmetric and fixed at 1/K.  Stored matrices
+are the normalised variational means: each row of ``doc_topic`` and
+``topic_term`` is a probability distribution.
 """
 
 from __future__ import annotations
@@ -34,11 +35,9 @@ _INNER_TOL = 1e-6
 
 @dataclass(frozen=True)
 class LdaConfig:
-    """Topic count, symmetric Dirichlet priors and solver settings."""
+    """Topic count and solver settings."""
 
     k: int
-    alpha: float | None = None  # doc-topic prior, defaults to 1/k
-    beta: float | None = None  # topic-word prior, defaults to 1/k
     max_iter: int = 200
     tol: float = 1e-6
     seed: int = 0
@@ -46,12 +45,6 @@ class LdaConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.alpha is None:
-            object.__setattr__(self, "alpha", 1.0 / self.k)
-        if self.beta is None:
-            object.__setattr__(self, "beta", 1.0 / self.k)
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValueError("alpha and beta must be positive")
 
 
 @dataclass
@@ -59,7 +52,8 @@ class LdaModel:
     doc_topic: np.ndarray  # (D, K), rows sum to 1
     topic_term: np.ndarray  # (K, V), rows sum to 1
     elbo_trace: list[float]
-    config: LdaConfig
+    alpha: float  # doc-topic prior, 1/K
+    beta: float  # topic-word prior, 1/K
     converged: bool
     inner_updates: int  # per-document gamma updates over all E-steps
     # Variational Dirichlet parameters the distributions were normalised
@@ -174,7 +168,7 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
     if config.k > n_docs:
         raise ValueError(f"k={config.k} exceeds document count {n_docs}")
 
-    alpha, beta = config.alpha, config.beta
+    alpha = beta = 1.0 / config.k
     rng = np.random.default_rng(config.seed)
     lam = rng.gamma(100.0, 0.01, (config.k, n_terms))
     # Uniform starting responsibilities: every topic gets an equal share
@@ -204,7 +198,8 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
         doc_topic=gamma / gamma.sum(axis=1, keepdims=True),
         topic_term=lam / lam.sum(axis=1, keepdims=True),
         elbo_trace=trace,
-        config=config,
+        alpha=alpha,
+        beta=beta,
         converged=converged,
         inner_updates=inner_updates,
         gamma_=gamma,
@@ -220,4 +215,4 @@ def lda_elbo(model: LdaModel, tf: DocTermMatrix) -> float:
             f"model shape ({model.gamma_.shape[0]}, {model.lambda_.shape[1]}) does not "
             f"match matrix shape {mat.shape}"
         )
-    return _bound(mat, model.gamma_, model.lambda_, model.config.alpha, model.config.beta)
+    return _bound(mat, model.gamma_, model.lambda_, model.alpha, model.beta)

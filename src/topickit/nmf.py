@@ -37,7 +37,6 @@ class NmfModel:
     doc_topic: np.ndarray  # (D, K), >= 0
     topic_term: np.ndarray  # (K, V), >= 0
     objective_trace: list[float]
-    k: int
     converged: bool
 
 
@@ -165,6 +164,5 @@ def fit_nmf(
         doc_topic=w,
         topic_term=h,
         objective_trace=trace,
-        k=k,
         converged=converged,
     )

@@ -35,8 +35,6 @@ class NtfModel:
     company_factor: np.ndarray  # (C, K), >= 0
     term_factor: np.ndarray  # (V, K), >= 0
     error_trace: list[float]
-    k: int
-    seed: int
     converged: bool
     # (mode, column) pairs that collapsed to zero and were reseeded from
     # the residual; each pair is rescued at most once.
@@ -186,8 +184,6 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
         company_factor=factors[1],
         term_factor=factors[2],
         error_trace=trace,
-        k=k,
-        seed=seed,
         converged=converged,
         rescues=rescues,
     )

@@ -62,9 +62,6 @@ class DocTermMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def toarray(self) -> np.ndarray:
-        return self.values.toarray()
-
 
 @dataclass(frozen=True)
 class DocCompanyTermTensor:
@@ -80,8 +77,6 @@ class DocCompanyTermTensor:
     company_idx: np.ndarray
     term_idx: np.ndarray
     values: np.ndarray  # float64, integral counts
-    company_index: Mapping[str, int]
-    doc_ids: tuple[str, ...]
     company_ids: tuple[str, ...]
 
     @property
@@ -126,7 +121,12 @@ def build_vocabulary(docs: Iterable[TokenizedDocument], min_df: int = 1) -> Voca
     return Vocabulary(term_to_index, tuple(kept), doc_freq)
 
 
-def _count_rows(docs: list[TokenizedDocument], vocab: Vocabulary) -> sp.csr_matrix:
+def tf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMatrix:
+    """Raw term counts: entry (d, t) is the frequency of term t in doc d.
+
+    Tokens not in the vocabulary are skipped, so with min_df=1 each row
+    sums to the document's token count.  Each row lists its terms in index order.
+    """
     indptr = [0]
     indices: list[int] = []
     data: list[float] = []
@@ -143,16 +143,6 @@ def _count_rows(docs: list[TokenizedDocument], vocab: Vocabulary) -> sp.csr_matr
          np.array(indptr, dtype=np.int64)),
         shape=(len(docs), len(vocab)),
     )
-    return mat
-
-
-def tf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMatrix:
-    """Raw term counts: entry (d, t) is the frequency of term t in doc d.
-
-    Tokens not in the vocabulary are skipped, so with min_df=1 each row
-    sums to the document's token count.
-    """
-    mat = _count_rows(docs, vocab)
     return DocTermMatrix(mat, "tf", tuple(d.doc_id for d in docs))
 
 
@@ -163,14 +153,13 @@ def tfidf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMat
     counts, then each row is scaled to unit Euclidean norm (all-zero rows
     stay zero).
     """
-    mat = _count_rows(docs, vocab)
-    n_docs = mat.shape[0]
-    idf = np.log((1.0 + n_docs) / (1.0 + vocab.doc_freq.astype(np.float64))) + 1.0
-    mat = mat.multiply(idf[np.newaxis, :]).tocsr()
+    tf = tf_matrix(docs, vocab)
+    idf = np.log((1.0 + tf.shape[0]) / (1.0 + vocab.doc_freq.astype(np.float64))) + 1.0
+    mat = tf.values.multiply(idf[np.newaxis, :]).tocsr()
     norms = sp.linalg.norm(mat, axis=1)
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
     mat = sp.diags(scale) @ mat
-    return DocTermMatrix(mat.tocsr(), "tfidf", tuple(d.doc_id for d in docs))
+    return DocTermMatrix(mat.tocsr(), "tfidf", tf.doc_ids)
 
 
 def build_tensor(
@@ -184,21 +173,17 @@ def build_tensor(
         raise ValueError(f"document(s) without a company: {', '.join(missing)}")
 
     company_ids = tuple(sorted({company_map[d.doc_id] for d in docs}))
-    company_index = {c: i for i, c in enumerate(company_ids)}
+    position = {c: i for i, c in enumerate(company_ids)}
 
     # CSR rows come out in (doc, term) order and a doc lies in one company,
     # so the coordinates are already sorted by (doc, company, term).
-    tf = _count_rows(docs, vocab).tocoo()
-    doc_company = np.array(
-        [company_index[company_map[d.doc_id]] for d in docs], dtype=np.int64
-    )
+    tf = tf_matrix(docs, vocab).values.tocoo()
+    doc_company = np.array([position[company_map[d.doc_id]] for d in docs], dtype=np.int64)
     return DocCompanyTermTensor(
         shape=(len(docs), len(company_ids), len(vocab)),
         doc_idx=tf.row.astype(np.int64),
         company_idx=doc_company[tf.row],
         term_idx=tf.col.astype(np.int64),
         values=tf.data.astype(np.float64),
-        company_index=company_index,
-        doc_ids=tuple(d.doc_id for d in docs),
         company_ids=company_ids,
     )

@@ -57,7 +57,7 @@ class TestCriterion2Tfidf:
                 max_len=25,
             )
             vocab = build_vocabulary(docs)
-            got = tfidf_matrix(docs, vocab).toarray()
+            got = tfidf_matrix(docs, vocab).values.toarray()
             want = tfidf_oracle([list(d.tokens) for d in docs], vocab.index_to_term)
             np.testing.assert_allclose(got, want, atol=1e-12)
         report(2, "tf-idf scalar-oracle equivalence, 100 corpora")
@@ -77,7 +77,7 @@ class TestCriterion3TensorMarginalisation:
             tensor = build_tensor(docs, vocab, companies)
             tf = tf_matrix(docs, vocab)
             assert np.array_equal(
-                tensor.sum_over_companies().toarray(), tf.toarray()
+                tensor.sum_over_companies().toarray(), tf.values.toarray()
             )
         report(3, "tensor company-axis marginalisation, 100 corpora")
 
@@ -117,8 +117,8 @@ class TestCriterion5Lda:
         tf = tf_matrix(docs, vocab)
         model = fit_lda(tf, LdaConfig(k=1, max_iter=20))
         np.testing.assert_array_equal(model.doc_topic, np.ones((tf.shape[0], 1)))
-        counts = tf.toarray().sum(axis=0)
-        beta = model.config.beta
+        counts = tf.values.toarray().sum(axis=0)
+        beta = model.beta
         expected = (beta + counts) / (beta * tf.shape[1] + counts.sum())
         np.testing.assert_allclose(model.topic_term[0], expected, rtol=1e-12)
         report(5, "lda row sums, elbo monotonicity, K=1 closed form")
@@ -163,7 +163,7 @@ class TestCriterion6Ntf:
             company_idx=np.array([c[1] for c in coords], dtype=np.int64),
             term_idx=np.array([c[2] for c in coords], dtype=np.int64),
             values=local.uniform(0.5, 3.0, size=len(coords)),
-            company_index={}, doc_ids=(), company_ids=(),
+            company_ids=(),
         )
         start = time.perf_counter()
         budget_model = fit_ntf(tensor, 5, max_sweeps=200, seed=0)

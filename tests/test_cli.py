@@ -307,6 +307,16 @@ class TestMainExitCodes:
         assert code == 2
         assert f"corpus error: {bad_file}: not valid UTF-8" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("margin", ["nan", "-0.5"])
+    def test_bad_margin_is_1_before_any_cell(self, tmp_path, capsys, monkeypatch, margin):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=2)
+        fitted = []
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
+        code = main(["--corpus", str(corpus), "--margin", margin, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "config error: select_margin must be" in capsys.readouterr().out
+        assert fitted == [] and not (tmp_path / "out").exists()
+
     def test_partial_failure_is_3(self, tmp_path, capsys):
         corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
         code = main(["--corpus", str(corpus), "--methods", "ntf", "--k", "2,4",
@@ -424,6 +434,14 @@ class TestRunConfigValidation:
             RunConfig(corpus_path="x", k_values=(0,))
         with pytest.raises(ConfigError):
             RunConfig(corpus_path="x", min_df=0)
+        for bad, named in (({"n_keywords": 0}, "n_keywords"), ({"n_keywords": -3}, "n_keywords"),
+                           ({"seed": -1}, "seed"), ({"select_margin": -0.5}, "select_margin"),
+                           ({"lda": {"max_iter": -5}}, "lda.max_iter"),
+                           ({"nmf": {"max_iter": 0}}, "nmf.max_iter"),
+                           ({"ntf": {"max_sweeps": 0}}, "ntf.max_sweeps"),
+                           ({"lda": {"tol": -1e-6}}, "lda.tol")):
+            with pytest.raises(ConfigError, match=f"{named} must be >= "):
+                RunConfig(**{"corpus_path": "x", **bad})
 
     def test_rejects_repeated_methods_and_k(self):
         with pytest.raises(ConfigError, match=r"k_values repeats a value: \(3, 3\)"):
@@ -436,6 +454,12 @@ class TestRunConfigValidation:
                     {"n_keywords": None}, {"select_margin": "wide"}, {"k_values": (2.5,)},
                     {"k_values": (True,)}, {"filters": ["year"]}, {"nmf": 300}):
             with pytest.raises(ConfigError):
+                RunConfig(**{"corpus_path": "x", **bad})
+        for bad, named in (({"select_margin": float("nan")}, "select_margin"),
+                           ({"select_margin": float("inf")}, "select_margin"),
+                           ({"nmf": {"tol": float("nan")}}, "nmf.tol"),
+                           ({"ntf": {"tol": float("inf")}}, "ntf.tol")):
+            with pytest.raises(ConfigError, match=f"{named} must be a finite number"):
                 RunConfig(**{"corpus_path": "x", **bad})
 
     def test_string_forms_match_lists(self):

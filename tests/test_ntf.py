@@ -23,7 +23,7 @@ def random_sparse_tensor(rng, shape, nnz):
     values = rng.uniform(0.5, 3.0, size=len(coords))
     return DocCompanyTermTensor(
         shape=shape, doc_idx=d, company_idx=c, term_idx=t, values=values,
-        company_index={}, doc_ids=(), company_ids=(),
+        company_ids=(),
     )
 
 
@@ -34,7 +34,7 @@ def error_oracle(dense, model):
     for i in range(dense.shape[0]):
         for j in range(dense.shape[1]):
             for t in range(dense.shape[2]):
-                pred = sum(u[i, r] * v[j, r] * w[t, r] for r in range(model.k))
+                pred = sum(u[i, r] * v[j, r] * w[t, r] for r in range(u.shape[1]))
                 total += (dense[i, j, t] - pred) ** 2
     return total
 
@@ -104,14 +104,14 @@ class TestReconstructionError:
         v = rng.uniform(0.2, 1.5, (3, 2))
         w = rng.uniform(0.2, 1.5, (4, 2))
         dense = np.einsum("ir,jr,kr->ijk", u, v, w)
-        model = NtfModel(u, v, w, [], k=2, seed=0, converged=True)
+        model = NtfModel(u, v, w, [], converged=True)
         assert cp_reconstruction_error(dense, model) < 1e-12
 
     def test_zero_factors_give_squared_norm(self, rng):
         dense = np.abs(rng.standard_normal((3, 4, 2)))
         model = NtfModel(
             np.zeros((3, 1)), np.zeros((4, 1)), np.zeros((2, 1)),
-            [], k=1, seed=0, converged=True,
+            [], converged=True,
         )
         np.testing.assert_allclose(
             cp_reconstruction_error(dense, model), np.sum(dense ** 2), rtol=1e-12
@@ -123,7 +123,7 @@ class TestReconstructionError:
         u = rng.uniform(0.1, 1.0, (4, 2))
         v = rng.uniform(0.1, 1.0, (3, 2))
         w = rng.uniform(0.1, 1.0, (5, 2))
-        model = NtfModel(u, v, w, [], k=2, seed=0, converged=True)
+        model = NtfModel(u, v, w, [], converged=True)
         np.testing.assert_allclose(
             cp_reconstruction_error(dense, model), error_oracle(dense, model), atol=1e-10
         )
@@ -132,7 +132,7 @@ class TestReconstructionError:
         dense = np.ones((3, 4, 2))
         model = NtfModel(
             np.ones((3, 1)), np.ones((5, 1)), np.ones((2, 1)),
-            [], k=1, seed=0, converged=True,
+            [], converged=True,
         )
         with pytest.raises(ValueError, match="do not match"):
             cp_reconstruction_error(dense, model)
@@ -153,6 +153,6 @@ class TestStructuralConsistency:
         companies = [company_map[d.doc_id] for d in docs]
         crosstab = {}
         for company, label in zip(companies, doc_labels):
-            crosstab.setdefault(company, [0] * model.k)[label] += 1
+            crosstab.setdefault(company, [0] * 2)[label] += 1
         for company, row in crosstab.items():
             assert sum(row) == sum(1 for c in companies if c == company)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,6 +30,13 @@ def tfidf_oracle(token_docs, vocab_terms):
     return np.array(rows)
 
 
+def random_corpus(rng):
+    """Random documents and a min_df drawn from 1-3."""
+    docs = random_tokenized(rng, n_docs=int(rng.integers(6, 15)),
+                            vocab_size=int(rng.integers(3, 25)))
+    return docs, int(rng.integers(1, 4))
+
+
 class TestVocabulary:
     def test_counts(self):
         docs = [toks("d1", ["coal", "seam"]), toks("d2", ["coal"])]
@@ -42,10 +50,17 @@ class TestVocabulary:
         vocab = build_vocabulary(docs, min_df=2)
         assert len(vocab) == 1 and "coal" in vocab
 
-    def test_ordering_frequency_then_lexicographic(self):
+    def test_ordering_frequency_then_lexicographic(self, rng):
         docs = [toks("d1", ["zinc", "zinc", "coal", "coal", "ore"])]
         vocab = build_vocabulary(docs)
         assert vocab.index_to_term == ("coal", "zinc", "ore")
+        for _ in range(100):
+            docs, min_df = random_corpus(rng)
+            vocab = build_vocabulary(docs, min_df=min_df)
+            total = Counter(t for d in docs for t in d.tokens)
+            dfreq = Counter(t for d in docs for t in set(d.tokens))
+            kept = [t for t in total if dfreq[t] >= min_df]
+            assert vocab.index_to_term == tuple(sorted(kept, key=lambda t: (-total[t], t)))
 
     def test_bijection(self, rng):
         docs = random_tokenized(rng, n_docs=10, vocab_size=30)
@@ -73,7 +88,7 @@ class TestTfMatrix:
         docs = [toks("d1", ["coal", "coal", "seam"])]
         vocab = build_vocabulary(docs)
         tf = tf_matrix(docs, vocab)
-        row = tf.toarray()[0]
+        row = tf.values.toarray()[0]
         assert row[vocab.term_to_index["coal"]] == 2
         assert row[vocab.term_to_index["seam"]] == 1
         assert tf.weighting == "tf"
@@ -82,17 +97,16 @@ class TestTfMatrix:
         docs = [toks("d1", ["coal"]), toks("d2", [])]
         vocab = build_vocabulary(docs)
         tf = tf_matrix(docs, vocab)
-        assert tf.toarray()[1].sum() == 0
+        assert tf.values.toarray()[1].sum() == 0
 
     def test_row_sums_match_token_counts(self, rng):
         for _ in range(100):
-            docs = random_tokenized(rng, n_docs=int(rng.integers(2, 10)),
-                                    vocab_size=int(rng.integers(3, 25)))
-            vocab = build_vocabulary(docs)
+            docs, min_df = random_corpus(rng)
+            vocab = build_vocabulary(docs, min_df=min_df)
             tf = tf_matrix(docs, vocab)
             sums = np.asarray(tf.values.sum(axis=1)).ravel()
-            recounted = np.array([len(d.tokens) for d in docs], dtype=float)
-            assert np.array_equal(sums, recounted)
+            recounted = [sum(t in vocab for t in d.tokens) for d in docs]
+            assert np.array_equal(sums, np.array(recounted, dtype=float))
 
     def test_integrality_and_nonnegativity(self, rng):
         docs = random_tokenized(rng)
@@ -105,7 +119,7 @@ class TestTfidfMatrix:
     def test_single_document_collapses_to_normalised_tf(self):
         docs = [toks("d1", ["coal", "coal", "seam"])]
         vocab = build_vocabulary(docs)
-        tfidf = tfidf_matrix(docs, vocab).toarray()[0]
+        tfidf = tfidf_matrix(docs, vocab).values.toarray()[0]
         # idf = ln(2/2) + 1 = 1 for every term
         expected = np.array([2.0, 1.0]) / math.sqrt(5.0)
         np.testing.assert_allclose(tfidf, expected, atol=1e-15)
@@ -115,25 +129,24 @@ class TestTfidfMatrix:
         vocab = build_vocabulary(docs)
         tfidf = tfidf_matrix(docs, vocab)
         col = vocab.term_to_index["coal"]
-        assert np.all(tfidf.toarray()[:, col] > 0)
+        assert np.all(tfidf.values.toarray()[:, col] > 0)
 
     def test_matches_scalar_oracle(self, rng):
         docs = random_tokenized(rng, n_docs=5, vocab_size=12)
         vocab = build_vocabulary(docs)
-        got = tfidf_matrix(docs, vocab).toarray()
+        got = tfidf_matrix(docs, vocab).values.toarray()
         want = tfidf_oracle([list(d.tokens) for d in docs], vocab.index_to_term)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_rows_unit_or_zero_norm(self, rng):
-        docs = random_tokenized(rng, n_docs=8, vocab_size=15) + [toks("empty", [])]
-        vocab = build_vocabulary(docs)
-        norms = np.sqrt(np.asarray(
-            tfidf_matrix(docs, vocab).values.multiply(
-                tfidf_matrix(docs, vocab).values
-            ).sum(axis=1)
-        )).ravel()
-        for n in norms:
-            assert abs(n - 1.0) < 1e-12 or n == 0.0
+        for _ in range(100):
+            docs, min_df = random_corpus(rng)
+            vocab = build_vocabulary(docs, min_df=min_df)
+            docs.append(toks("empty", []))
+            values = tfidf_matrix(docs, vocab).values
+            norms = np.sqrt(np.asarray(values.multiply(values).sum(axis=1))).ravel()
+            for n in norms:
+                assert abs(n - 1.0) < 1e-12 or n == 0.0
 
 
 class TestTensor:
@@ -142,17 +155,16 @@ class TestTensor:
         vocab = build_vocabulary(docs)
         tensor = build_tensor(docs, vocab, {"d1": "acme", "d2": "zinco"})
         assert tensor.shape == (2, 2, 2)
-        acme = tensor.company_index["acme"]
-        zinco = tensor.company_index["zinco"]
+        acme = tensor.company_ids.index("acme")
+        zinco = tensor.company_ids.index("zinco")
         for d, c, t, v in zip(tensor.doc_idx, tensor.company_idx,
                               tensor.term_idx, tensor.values):
             assert c == (acme if d == 0 else zinco)
 
     def test_marginalisation_reproduces_tf_exactly(self, rng):
         for _ in range(20):
-            docs = random_tokenized(rng, n_docs=int(rng.integers(2, 12)),
-                                    vocab_size=int(rng.integers(3, 20)))
-            vocab = build_vocabulary(docs)
+            docs, min_df = random_corpus(rng)
+            vocab = build_vocabulary(docs, min_df=min_df)
             companies = {d.doc_id: f"c{rng.integers(0, 4)}" for d in docs}
             tensor = build_tensor(docs, vocab, companies)
             tf = tf_matrix(docs, vocab)
