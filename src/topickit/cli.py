@@ -475,8 +475,8 @@ def _build_parser() -> _Parser:
         description="Sweep LDA / NMF / tensor topic models over a corpus and compare them.",
         argument_default=argparse.SUPPRESS,
     )
-    # Every flag but --config and --verbose sets the RunConfig field named by
-    # its dest, and only when given; RunConfig parses and checks the value.
+    # Every flag but --config sets the RunConfig field named by its dest, and
+    # only when given; RunConfig parses and checks the value.
     parser.add_argument("--config", default=None,
                         help="JSON config file; flags override its values")
     parser.add_argument("--corpus", dest="corpus_path",
@@ -497,8 +497,6 @@ def _build_parser() -> _Parser:
                         help="silhouette margin for best-K candidates")
     parser.add_argument("--keywords", dest="n_keywords", type=int,
                         help="keyword list length (default 30)")
-    parser.add_argument("-v", "--verbose", action="store_true", default=False,
-                        help="verbose logging")
     return parser
 
 
@@ -515,7 +513,7 @@ def _load_config(args) -> RunConfig:
         if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")
 
-    flags = {k: v for k, v in vars(args).items() if k not in ("config", "verbose")}
+    flags = {k: v for k, v in vars(args).items() if k != "config"}
     filters = _parse_filters(flags.pop("filters", []))
     settings.update(flags)
     if "corpus_path" not in settings:
@@ -530,12 +528,9 @@ def _load_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("topickit").setLevel(logging.INFO)
     try:
-        args = _build_parser().parse_args(argv)
-        logging.getLogger("topickit").setLevel(
-            logging.DEBUG if args.verbose else logging.INFO
-        )
-        config = _load_config(args)
+        config = _load_config(_build_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"config error: {exc}")
         return 1

@@ -252,9 +252,12 @@ def _load_jsonl(path: Path) -> list[RawDocument]:
 
 
 def _read_utf8(path: Path) -> str:
-    """A file's text with its line ends as they are; invalid UTF-8 is a CorpusError."""
+    """A file's text with its line ends as they are; a file that cannot be read
+    or is not valid UTF-8 is a CorpusError."""
     try:
         return path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise CorpusError(f"{path.name}: cannot read ({exc.strerror or exc})") from None
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path.name}: not valid UTF-8 at byte {exc.start}") from None
 

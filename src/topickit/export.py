@@ -8,6 +8,8 @@ leaves a partial file behind.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import tempfile
@@ -38,12 +40,16 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, header, rows) -> None:
-    """Write a CSV: strings as given, numbers with ``sig12``, ``None`` as an empty cell."""
+    """Write a CSV: strings as given (quoted where they hold a comma, quote or
+    line break), numbers with ``sig12``, ``None`` as an empty cell."""
     def cell(value) -> str:
         return "" if value is None else value if isinstance(value, str) else sig12(value)
 
-    lines = [",".join(header), *(",".join(map(cell, row)) for row in rows)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(cell, row) for row in rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 def write_factor_csv(

@@ -36,8 +36,8 @@ class NtfModel:
     term_factor: np.ndarray  # (V, K), >= 0
     error_trace: list[float]
     converged: bool
-    # (mode, column) pairs that collapsed to zero and were reseeded from
-    # the residual; each pair is rescued at most once.
+    # Always empty: floored HALS reseeds nothing.  Kept because model.json's
+    # "rescues" key and the benchmark's ntf.rescues count read it.
     rescues: list[tuple[int, int]] = field(default_factory=list)
 
     @property
@@ -82,27 +82,10 @@ def _reconstruct_at(idx, factors) -> np.ndarray:
     )
 
 
-def _rescue_column(idx, values, factors, mode: int, r: int, dim: int) -> None:
-    """Reseed a dead factor column from the leading residual fiber.
-
-    The fiber along ``mode`` with the largest residual energy on the
-    support is lifted (absolute values) into the column.  A zero residual
-    leaves the column at zero.
-    """
-    if len(values) == 0:
-        return
-    resid = values - _reconstruct_at(idx, factors)
-    others = [m for m in range(3) if m != mode]
-    key = idx[others[0]] * (np.max(idx[others[1]]) + 1) + idx[others[1]]
-    uniq, inverse = np.unique(key, return_inverse=True)
-    energy = np.bincount(inverse, weights=resid * resid, minlength=len(uniq))
-    best = int(np.argmax(energy))
-    if energy[best] <= 0.0:
-        return
-    sel = inverse == best
-    col = np.zeros(dim)
-    np.add.at(col, idx[mode][sel], np.abs(resid[sel]))
-    factors[mode][:, r] = np.maximum(col, _FLOOR)
+def _cp_error(norm_x_sq: float, inner: float, grams) -> float:
+    """``||X||^2 - 2 <X, Xhat> + ||Xhat||^2``, the model norm from the factor
+    Gramians; clamped at 0 against round-off."""
+    return max(norm_x_sq - 2.0 * inner + float(np.sum(grams[0] * grams[1] * grams[2])), 0.0)
 
 
 def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) -> NtfModel:
@@ -111,8 +94,8 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
     Factors start as column-normalised absolute Gaussian noise drawn from
     ``seed``, so identical inputs and seed give identical output.  The
     error trace holds one squared-residual value per sweep and is
-    non-increasing (a reseeded dead column, recorded in ``rescues``, is
-    the one event allowed to disturb that).
+    non-increasing.  Entries are clamped at a small positive floor rather
+    than zero, so a collapsed column can regrow in a later sweep.
     """
     shape, idx, values = _to_coords(x)
     if any(d == 0 for d in shape):
@@ -132,8 +115,6 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
 
     norm_x_sq = float(values @ values)
     trace: list[float] = []
-    rescues: list[tuple[int, int]] = []
-    rescued: set[tuple[int, int]] = set()
     converged = False
 
     for sweep in range(max_sweeps):
@@ -144,20 +125,13 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
             m_mode = _mttkrp(idx, values, factors, mode, shape[mode], k)
             a = factors[mode]
             for r in range(k):
-                denom = gram_rest[r, r]
-                if denom <= _TINY:
-                    # Dead component in the other modes: this column cannot
-                    # contribute, park it at the floor for the rescue pass.
-                    a[:, r] = _FLOOR
-                    continue
-                col = a[:, r] + (m_mode[:, r] - a @ gram_rest[:, r]) / denom
+                # gram_rest[r, r] >= 1e-48: every entry is at least _FLOOR.
+                col = a[:, r] + (m_mode[:, r] - a @ gram_rest[:, r]) / gram_rest[r, r]
                 a[:, r] = np.maximum(col, _FLOOR)
             grams[mode] = a.T @ a
             mttkrp_last = m_mode
 
-        inner = float(np.sum(mttkrp_last * factors[2]))
-        norm_hat_sq = float(np.sum(grams[0] * grams[1] * grams[2]))
-        err = max(norm_x_sq - 2.0 * inner + norm_hat_sq, 0.0)
+        err = _cp_error(norm_x_sq, float(np.sum(mttkrp_last * factors[2])), grams)
         if not (np.isfinite(err) and all(np.all(np.isfinite(f)) for f in factors)):
             raise RuntimeError(f"CP update produced NaN/Inf at sweep {sweep + 1}")
         prev = trace[-1] if trace else None
@@ -166,26 +140,12 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
             converged = True
             break
 
-        for mode in range(3):
-            dead = np.flatnonzero(np.all(factors[mode] <= _FLOOR, axis=0))
-            changed = False
-            for r in dead:
-                if (mode, int(r)) in rescued:
-                    continue
-                rescued.add((mode, int(r)))
-                rescues.append((mode, int(r)))
-                _rescue_column(idx, values, factors, mode, int(r), shape[mode])
-                changed = True
-            if changed:
-                grams[mode] = factors[mode].T @ factors[mode]
-
     return NtfModel(
         doc_factor=factors[0],
         company_factor=factors[1],
         term_factor=factors[2],
         error_trace=trace,
         converged=converged,
-        rescues=rescues,
     )
 
 
@@ -204,6 +164,4 @@ def cp_reconstruction_error(x, model: NtfModel) -> float:
             f"tensor shape {tuple(shape)}"
         )
     inner = float(values @ _reconstruct_at(idx, factors))
-    grams = [f.T @ f for f in factors]
-    norm_hat_sq = float(np.sum(grams[0] * grams[1] * grams[2]))
-    return max(float(values @ values) - 2.0 * inner + norm_hat_sq, 0.0)
+    return _cp_error(float(values @ values), inner, [f.T @ f for f in factors])

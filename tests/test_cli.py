@@ -307,6 +307,38 @@ class TestMainExitCodes:
         assert code == 2
         assert f"corpus error: {bad_file}: not valid UTF-8" in capsys.readouterr().out
 
+    def test_unreadable_text_file_is_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("coal seam drill")
+        (corpus / "sub.txt").mkdir()
+        (corpus / "manifest.csv").write_text("doc_id,company_id\na,c1\nsub,c2\n")
+        code = main(["--corpus", str(corpus), "--format", "text-dir",
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "corpus error: sub.txt: cannot read" in capsys.readouterr().out
+
+    def test_ids_with_commas_and_quotes_round_trip(self, tmp_path):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=4)
+        records = [json.loads(line) for line in corpus.read_text().splitlines()]
+        records[0]["doc_id"] = 'r,"1"'
+        for record in records[::3]:
+            record["company_id"] = "acme, inc"
+        corpus.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / "out"
+        assert main(["--corpus", str(corpus), "--methods", "ntf", "--k", "2",
+                     "--out", str(out)]) == 0
+        for name, column, ids in (
+            ("doc_topic.csv", "doc_id", [r["doc_id"] for r in records]),
+            ("silhouette_samples.csv", "doc_id", [r["doc_id"] for r in records]),
+            ("company_topic.csv", "company_id", {r["company_id"] for r in records}),
+        ):
+            with open(out / "ntf" / "k2" / name, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert all(len(row) == len(header) for row in rows), name
+            got = [row[header.index(column)] for row in rows]
+            assert sorted(got) == sorted(ids), name
+
     @pytest.mark.parametrize("margin", ["nan", "-0.5"])
     def test_bad_margin_is_1_before_any_cell(self, tmp_path, capsys, monkeypatch, margin):
         corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=2)

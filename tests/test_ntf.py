@@ -66,6 +66,20 @@ class TestFit:
             slack = 1e-8 * np.abs(trace[:-1])
             assert np.all(np.diff(trace) <= slack)
 
+    def test_error_trace_monotone_with_surplus_components(self):
+        # exact rank-1/2 tensors fitted with 1-3 extra components, where
+        # surplus columns collapse to the floor: the error may still not rise
+        for rank in (1, 2):
+            for seed in range(10):
+                local = np.random.default_rng(seed)
+                u, v, w = (np.abs(local.standard_normal((d, rank))) for d in (8, 5, 7))
+                dense = np.einsum("ir,jr,kr->ijk", u, v, w)
+                slack = 1e-12 * np.sum(dense ** 2)
+                for k in range(rank + 1, rank + 4):
+                    model = fit_ntf(dense, k, max_sweeps=60, seed=seed)
+                    rises = np.diff(model.error_trace)
+                    assert np.all(rises <= slack), (rank, seed, k, rises.max())
+
     def test_seeded_determinism(self, rng):
         tensor = random_sparse_tensor(rng, (8, 4, 9), nnz=60)
         a = fit_ntf(tensor, 2, max_sweeps=30, seed=5)
