@@ -11,17 +11,25 @@ factor, which makes the objective non-increasing).  A small ``eps`` in
 the denominators and a floor under the NNDSVD zeros keep the updates from
 locking entries at exact zero.
 
-Factor matrices are dense and the SVD behind NNDSVD is a deterministic
-dense decomposition, sized for corpora of a few hundred to a few thousand
-documents.
+No D x V array is formed from a sparse input.  NNDSVD takes the K leading
+singular triplets from a truncated sparse SVD (``scipy.sparse.linalg.svds``
+from a fixed start vector, so the output is deterministic), and the
+objective comes from K x K Gramians,
+
+    ||X - W H||^2 = ||X||^2 - 2 <W^T X, H> + <W^T W, H H^T>,
+
+reusing the ``W^T X`` and ``W^T W`` of the H update.  Dense memory beyond
+the input is O((D + V) K).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, svds
 
 from .vectorize import DocTermMatrix
 
@@ -42,16 +50,35 @@ class NmfModel:
 
 def _as_2d(x) -> sp.csr_matrix | np.ndarray:
     if isinstance(x, DocTermMatrix):
-        return x.values
+        x = x.values
     if sp.issparse(x):
-        return x.tocsr()
+        mat = x.tocsr()
+        if not mat.has_canonical_format:
+            # ||X||^2 is summed over the stored entries: merge duplicates first.
+            mat = mat.copy()
+            mat.sum_duplicates()
+        return mat
     return np.asarray(x, dtype=np.float64)
+
+
+def _sq_norm(mat) -> float:
+    data = mat.data if sp.issparse(mat) else mat
+    return float(np.sum(data * data))
 
 
 def _check_nonnegative(mat, what: str) -> None:
     data = mat.data if sp.issparse(mat) else mat
     if data.size and (not np.all(np.isfinite(data)) or np.min(data) < 0):
         raise ValueError(f"{what} must be nonnegative and finite")
+
+
+def _check_factor_shapes(mat, doc_topic: np.ndarray, topic_term: np.ndarray) -> None:
+    if doc_topic.shape[0] != mat.shape[0] or topic_term.shape[1] != mat.shape[1] \
+            or doc_topic.shape[1] != topic_term.shape[0]:
+        raise ValueError(
+            f"factor shapes {doc_topic.shape} x {topic_term.shape} do not match "
+            f"matrix shape {mat.shape}"
+        )
 
 
 def nndsvd_init(x, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -69,11 +96,20 @@ def nndsvd_init(x, k: int) -> tuple[np.ndarray, np.ndarray]:
     if not 1 <= k <= min(n_rows, n_cols):
         raise ValueError(f"k={k} out of range for a {n_rows}x{n_cols} matrix")
 
-    dense = mat.toarray() if sp.issparse(mat) else mat
     try:
-        u, s, vt = np.linalg.svd(dense, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
+        if k < min(n_rows, n_cols):
+            # A fixed start vector: ARPACK's own draws from state that survives calls.
+            v0 = np.random.default_rng(0).uniform(size=min(n_rows, n_cols))
+            u, s, vt = svds(mat, k=k, v0=v0)
+        else:
+            # svds needs k < min(D, V).  Here the dense copy holds
+            # min(D, V) * max(D, V) = K * max(D, V) floats, inside O((D + V) K).
+            dense = mat.toarray() if sp.issparse(mat) else mat
+            u, s, vt = np.linalg.svd(dense, full_matrices=False)
+    except (np.linalg.LinAlgError, ArpackError) as exc:
         raise ValueError(f"SVD failed on degenerate input: {exc}") from exc
+    order = np.argsort(s)[::-1]
+    u, s, vt = u[:, order], s[order], vt[order, :]
 
     w = np.zeros((n_rows, k))
     h = np.zeros((k, n_cols))
@@ -106,15 +142,23 @@ def nndsvd_init(x, k: int) -> tuple[np.ndarray, np.ndarray]:
 def nmf_objective(x, doc_topic: np.ndarray, topic_term: np.ndarray) -> float:
     """Half the squared Frobenius norm of the reconstruction residual."""
     mat = _as_2d(x)
-    if doc_topic.shape[0] != mat.shape[0] or topic_term.shape[1] != mat.shape[1] \
-            or doc_topic.shape[1] != topic_term.shape[0]:
-        raise ValueError(
-            f"factor shapes {doc_topic.shape} x {topic_term.shape} do not match "
-            f"matrix shape {mat.shape}"
-        )
-    dense = mat.toarray() if sp.issparse(mat) else mat
-    resid = dense - doc_topic @ topic_term
-    return 0.5 * float(np.sum(resid * resid))
+    _check_factor_shapes(mat, doc_topic, topic_term)
+    return _half_residual(
+        _sq_norm(mat), (mat.T @ doc_topic).T, doc_topic.T @ doc_topic,
+        topic_term, topic_term @ topic_term.T,
+    )
+
+
+def _half_residual(norm_x_sq: float, wtx, wtw, h, hht) -> float:
+    """``0.5 * ||X - W H||^2`` from ``||X||^2``, ``W^T X``, ``W^T W``, H and ``H H^T``."""
+    return 0.5 * residual_norm_sq(norm_x_sq, float(np.sum(wtx * h)), (wtw, hht))
+
+
+def residual_norm_sq(norm_x_sq: float, inner: float, grams) -> float:
+    """``||X - Xhat||^2 = ||X||^2 - 2 <X, Xhat> + ||Xhat||^2`` for a CP model
+    (NMF is the two-way case), with ``||Xhat||^2`` the sum of the elementwise
+    product of the factor Gramians; clamped at 0 against round-off."""
+    return max(norm_x_sq - 2.0 * inner + float(np.sum(reduce(np.multiply, grams))), 0.0)
 
 
 def fit_nmf(
@@ -145,13 +189,19 @@ def fit_nmf(
         w, h = np.array(init[0], dtype=np.float64), np.array(init[1], dtype=np.float64)
         _check_nonnegative(w, "initial doc_topic")
         _check_nonnegative(h, "initial topic_term")
+        _check_factor_shapes(mat, w, h)
 
-    trace = [nmf_objective(mat, w, h)]
+    norm_x_sq = _sq_norm(mat)
+    hht = h @ h.T
+    trace = [_half_residual(norm_x_sq, (mat.T @ w).T, w.T @ w, h, hht)]
     converged = False
     for iteration in range(max_iter):
-        w = w * ((mat @ h.T) / (w @ (h @ h.T) + _EPS))
-        h = h * (((mat.T @ w).T) / ((w.T @ w) @ h + _EPS))
-        obj = nmf_objective(mat, w, h)
+        w = w * ((mat @ h.T) / (w @ hht + _EPS))
+        wtx = (mat.T @ w).T
+        wtw = w.T @ w
+        h = h * (wtx / (wtw @ h + _EPS))
+        hht = h @ h.T
+        obj = _half_residual(norm_x_sq, wtx, wtw, h, hht)
         if not (np.isfinite(obj) and np.all(np.isfinite(w)) and np.all(np.isfinite(h))):
             raise RuntimeError(f"NMF update produced NaN/Inf at iteration {iteration + 1}")
         prev = trace[-1]

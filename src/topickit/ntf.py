@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .nmf import residual_norm_sq
 from .vectorize import DocCompanyTermTensor
 
 __all__ = ["NtfModel", "fit_ntf", "cp_reconstruction_error"]
@@ -82,12 +83,6 @@ def _reconstruct_at(idx, factors) -> np.ndarray:
     )
 
 
-def _cp_error(norm_x_sq: float, inner: float, grams) -> float:
-    """``||X||^2 - 2 <X, Xhat> + ||Xhat||^2``, the model norm from the factor
-    Gramians; clamped at 0 against round-off."""
-    return max(norm_x_sq - 2.0 * inner + float(np.sum(grams[0] * grams[1] * grams[2])), 0.0)
-
-
 def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) -> NtfModel:
     """Fit the nonnegative CP model by HALS sweeps.
 
@@ -131,7 +126,7 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
             grams[mode] = a.T @ a
             mttkrp_last = m_mode
 
-        err = _cp_error(norm_x_sq, float(np.sum(mttkrp_last * factors[2])), grams)
+        err = residual_norm_sq(norm_x_sq, float(np.sum(mttkrp_last * factors[2])), grams)
         if not (np.isfinite(err) and all(np.all(np.isfinite(f)) for f in factors)):
             raise RuntimeError(f"CP update produced NaN/Inf at sweep {sweep + 1}")
         prev = trace[-1] if trace else None
@@ -164,4 +159,4 @@ def cp_reconstruction_error(x, model: NtfModel) -> float:
             f"tensor shape {tuple(shape)}"
         )
     inner = float(values @ _reconstruct_at(idx, factors))
-    return _cp_error(float(values @ values), inner, [f.T @ f for f in factors])
+    return residual_norm_sq(float(values @ values), inner, [f.T @ f for f in factors])

@@ -120,6 +120,18 @@ class TestPreprocess:
         doc = preprocess(RawDocument("r1", "c1", text), stops)
         assert all(t.isalpha() for t in doc.tokens)
 
+    def test_corpus_stems_match_per_document_stems(self):
+        # preprocess_corpus stems each distinct token once and reuses it
+        # across documents; the tokens must equal the uncached path's.
+        docs = [
+            RawDocument("r1", "c1", "Drilling drilled drills; geology and geological maps"),
+            RawDocument("r2", "c2", "Geological drilling relational rationalisation"),
+            RawDocument("r3", "c1", "drilled DRILLING relational maps mapping"),
+        ]
+        tokenized, _ = preprocess_corpus(docs)
+        assert [t.tokens for t in tokenized] == [preprocess(d).tokens for d in docs]
+        assert tokenized[1].tokens[:2] == ("geolog", "drill")
+
 
 class TestRawDocument:
     def test_empty_text_rejected(self):
