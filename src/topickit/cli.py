@@ -250,13 +250,13 @@ def _run_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig, out
     """Fit, evaluate and write one (method, K) cell; return its manifest row."""
     started = time.perf_counter()
     cell_dir = out_dir / method / f"k{k}"
-    status, error, converged = "ok", None, None
+    status, error, converged, n_iter = "ok", None, None, None
     scores = dict.fromkeys(
         ("silhouette_documents", "silhouette_companies", "keyword_match_mean", "decisiveness")
     )
     try:
         doc_topic, topic_term, company_factor, meta = _fit_cell(method, k, bundle, config)
-        converged = meta["converged"]
+        converged, n_iter = meta["converged"], len(meta["trace"])
         report = build_report(method, k, doc_topic, topic_term, bundle.tf, bundle.vocab,
                               bundle.doc_companies, company_factor=company_factor,
                               company_ids=bundle.tensor.company_ids, n_keywords=config.n_keywords)
@@ -290,7 +290,7 @@ def _run_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig, out
     seconds = time.perf_counter() - started
     logger.info("cell (%s, k=%d): %s in %.2fs", method, k, status, seconds)
     return {"method": method, "k": k, "status": status, "error": error,
-            "converged": converged, **scores, "seconds": seconds}
+            "converged": converged, "n_iter": n_iter, **scores, "seconds": seconds}
 
 
 def _or_lowest(value) -> float:

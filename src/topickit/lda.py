@@ -8,6 +8,13 @@ collapsed out, so every gamma update and every lambda update is an exact
 block coordinate-ascent step on it: the recorded bound is non-decreasing
 up to floating-point noise for any number of inner updates.
 
+Each E-step caps a document's gamma updates on a doubling schedule:
+256 on the first outer iteration, 512 on the second and 1000 from the
+third on.  The first E-step runs against a random lambda that the
+M-step replaces, so driving its gammas to a fixed point is mostly wasted
+work; the cap bounds it, as online VB (Hoffman, Blei & Bach 2010) and
+scikit-learn's ``max_doc_update_iter`` do.
+
 Both Dirichlet priors are symmetric and fixed at 1/K.  Stored matrices
 are the normalised variational means: each row of ``doc_topic`` and
 ``topic_term`` is a probability distribution.
@@ -27,9 +34,15 @@ __all__ = ["LdaConfig", "LdaModel", "fit_lda", "lda_elbo"]
 
 # Inner gamma updates per E-step: a document stops once its mean absolute
 # gamma change is below _INNER_TOL times its mean gamma (the relative
-# threshold of Hoffman, Blei & Bach 2010).  At 1e-5 the K=5 fit of the
-# planted acceptance corpus already ends at a lower optimum.
+# threshold of Hoffman, Blei & Bach 2010; at 1e-5 the K=5 fit of the
+# planted acceptance corpus already ends at a lower optimum), or at the
+# E-step's cap.  The cap of outer iteration t is
+# min(_INNER_MAX_ITER, _INNER_FIRST * 2**t): 256, 512, then 1000.
+# _INNER_FIRST is the smallest power of two at which no planted K (2-6)
+# ends at a lower bound than under a flat cap of 1000; at 128 and 64 the
+# K=4 fit settles at a lower fixed point.
 _INNER_MAX_ITER = 1000
+_INNER_FIRST = 256
 _INNER_TOL = 1e-6
 
 
@@ -86,49 +99,54 @@ def _validate_tf(tf: DocTermMatrix) -> sp.csr_matrix:
     return mat
 
 
-def _nnz_rows(mat) -> np.ndarray:
-    """Row index of every stored entry of a CSR matrix."""
-    return np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+def _nnz_rows(lengths) -> np.ndarray:
+    """Row index of every stored entry of a CSR matrix with these row lengths."""
+    return np.repeat(np.arange(len(lengths)), lengths)
 
 
-def _e_step(mat, gamma, expElogbeta, alpha):
+def _e_step(mat, gamma, expElogbeta, alpha, max_trips):
     """Coordinate ascent on every document's gamma at once.
 
     Updates ``gamma`` in place and returns the sufficient statistics and
     the number of per-document gamma updates made.  Each trip updates all
-    active documents with one sparse product; a document leaves the
-    active set once its mean absolute gamma change is below
-    ``_INNER_TOL`` times its mean gamma, or after ``_INNER_MAX_ITER``
-    updates.
+    active documents from the nnz arrays; a document leaves the active
+    set once its mean absolute gamma change is below ``_INNER_TOL`` times
+    its mean gamma, or after ``max_trips`` updates.
     """
     betaT = np.ascontiguousarray(expElogbeta.T)
-    rows = _nnz_rows(mat)
-    betad = betaT[mat.indices]  # (nnz, K)
+    lengths = np.diff(mat.indptr)
+    rows = _nnz_rows(lengths)
+    betad = betaT.take(mat.indices, axis=0)  # (nnz, K)
     expElogtheta = np.exp(_dirichlet_expectation(gamma))
 
-    # Active set: its document ids, its CSR rows (whose data is replaced
-    # by counts / phinorm on every trip) and its slices of the nnz arrays.
+    # Active set: its document ids and its slices of the nnz arrays, with
+    # each document's entry count, local row ids and first entry.  The
+    # segment sums rely on _validate_tf: reduceat returns a[start], not
+    # zero, for an empty segment, and no row is empty.  Rows are gathered
+    # with take, which copies them several times faster than fancy indexing.
     active = np.arange(mat.shape[0])
-    ratio, cts, sub_rows, sub_betad = mat.copy(), mat.data, rows, betad
+    cts, sub_rows, sub_betad, starts = mat.data, rows, betad, mat.indptr[:-1]
     updates = 0
-    for _ in range(_INNER_MAX_ITER):
-        thetad = expElogtheta[active]
-        phinorm = np.einsum("nk,nk->n", thetad[sub_rows], sub_betad) + 1e-100
-        ratio.data = cts / phinorm
-        new = alpha + thetad * (ratio @ betaT)
+    for _ in range(max_trips):
+        thetad = expElogtheta.take(active, axis=0)
+        phinorm = np.einsum("nk,nk->n", thetad.take(sub_rows, axis=0), sub_betad) + 1e-100
+        new = alpha + thetad * np.add.reduceat(sub_betad * (cts / phinorm)[:, None], starts)
         updates += len(active)
+        change = np.abs(new - gamma.take(active, axis=0)).sum(axis=1)
         # mean |change| >= tol * mean gamma, both means over the same K topics
-        moving = np.abs(new - gamma[active]).sum(axis=1) >= _INNER_TOL * new.sum(axis=1)
+        moving = change >= _INNER_TOL * new.sum(axis=1)
         gamma[active] = new
         expElogtheta[active] = np.exp(_dirichlet_expectation(new))
         if not moving.any():
             break
         if not moving.all():
             kept = moving[sub_rows]
-            active, ratio = active[moving], ratio[moving]
-            cts, sub_betad, sub_rows = cts[kept], sub_betad[kept], _nnz_rows(ratio)
+            active, lengths = active[moving], lengths[moving]
+            cts, sub_betad = cts[kept], sub_betad[kept]
+            sub_rows = _nnz_rows(lengths)
+            starts = np.cumsum(lengths) - lengths
 
-    phinorm = np.einsum("nk,nk->n", expElogtheta[rows], betad) + 1e-100
+    phinorm = np.einsum("nk,nk->n", expElogtheta.take(rows, axis=0), betad) + 1e-100
     ratio = sp.csr_matrix((mat.data / phinorm, mat.indices, mat.indptr), shape=mat.shape)
     return (ratio.T @ expElogtheta).T * expElogbeta, updates
 
@@ -140,7 +158,8 @@ def _bound(mat, gamma, lam, alpha, beta) -> float:
     Elogtheta = _dirichlet_expectation(gamma)
     Elogbeta = _dirichlet_expectation(lam)
 
-    log_phinorm = logsumexp(Elogtheta[_nnz_rows(mat)] + Elogbeta.T[mat.indices], axis=1)
+    rows = _nnz_rows(np.diff(mat.indptr))
+    log_phinorm = logsumexp(Elogtheta[rows] + Elogbeta.T[mat.indices], axis=1)
     score = float(mat.data @ log_phinorm)
 
     # E[log p(theta | alpha)] - E[log q(theta | gamma)]
@@ -181,7 +200,8 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
     inner_updates = 0
     for iteration in range(config.max_iter):
         expElogbeta = np.exp(_dirichlet_expectation(lam))
-        sstats, updates = _e_step(mat, gamma, expElogbeta, alpha)
+        max_trips = min(_INNER_MAX_ITER, _INNER_FIRST << iteration)
+        sstats, updates = _e_step(mat, gamma, expElogbeta, alpha, max_trips)
         inner_updates += updates
         lam = beta + sstats
         bound = _bound(mat, gamma, lam, alpha, beta)

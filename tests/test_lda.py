@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.special import gammaln, logsumexp, psi
 
 from topickit import lda
+from topickit.corpus import load_corpus, preprocess_corpus
 from topickit.lda import LdaConfig, _bound, _dirichlet_expectation, _e_step, fit_lda, lda_elbo
 from topickit.vectorize import DocTermMatrix, build_vocabulary, tf_matrix
 
 from conftest import random_tokenized, toks
+from planted import EXPERIMENT_SEED, PLANTED_SEED, write_planted_corpus
 
 
 def two_topic_corpus(rng, docs_per_topic=10, terms_per_topic=10, doc_len=30):
@@ -38,7 +41,7 @@ def tf_with_counts(rng, counts):
     return DocTermMatrix(values, "tf", tf.doc_ids)
 
 
-def loop_e_step(mat, gamma, expElogbeta, alpha):
+def loop_e_step(mat, gamma, expElogbeta, alpha, max_trips):
     """Reference E-step: coordinate ascent one document at a time."""
     sstats = np.zeros_like(expElogbeta)
     updates = 0
@@ -50,7 +53,7 @@ def loop_e_step(mat, gamma, expElogbeta, alpha):
         expElogthetad = np.exp(_dirichlet_expectation(gammad))
         expElogbetad = expElogbeta[:, ids]
         phinorm = expElogthetad @ expElogbetad + 1e-100
-        for _ in range(lda._INNER_MAX_ITER):
+        for _ in range(max_trips):
             last = gammad
             gammad = alpha + expElogthetad * ((cts / phinorm) @ expElogbetad.T)
             updates += 1
@@ -59,7 +62,8 @@ def loop_e_step(mat, gamma, expElogbeta, alpha):
             if np.mean(np.abs(gammad - last)) < lda._INNER_TOL * np.mean(gammad):
                 break
         gamma[d] = gammad
-        sstats[:, ids] += np.outer(expElogthetad, cts / phinorm)
+        # add.at, not +=, so that duplicate column indices accumulate
+        np.add.at(sstats.T, ids, np.outer(cts / phinorm, expElogthetad))
     return sstats * expElogbeta, updates
 
 
@@ -82,6 +86,15 @@ def loop_bound(mat, gamma, lam, alpha, beta):
     score += float(np.sum(gammaln(lam)) - np.sum(gammaln(np.sum(lam, axis=1))))
     score += k * (gammaln(n_terms * beta) - n_terms * gammaln(beta))
     return score
+
+
+def random_min_df_tf(rng):
+    """TF of random documents with a min_df drawn from 1-3, empty rows dropped."""
+    docs = random_tokenized(rng, n_docs=int(rng.integers(10, 30)),
+                            vocab_size=int(rng.integers(8, 30)))
+    tf = tf_matrix(docs, build_vocabulary(docs, min_df=int(rng.integers(1, 4))))
+    keep = np.flatnonzero(np.diff(tf.values.indptr))
+    return DocTermMatrix(tf.values[keep], "tf", tuple(tf.doc_ids[i] for i in keep))
 
 
 def assert_elbo_non_decreasing(rng):
@@ -150,6 +163,15 @@ class TestContracts:
         monkeypatch.setattr(lda, "_INNER_MAX_ITER", inner_max_iter)
         assert_elbo_non_decreasing(rng)
 
+    def test_elbo_non_decreasing_on_random_corpora(self):
+        for seed in range(30):
+            tf = random_min_df_tf(np.random.default_rng(seed))
+            for k in range(2, min(5, tf.shape[0]) + 1):
+                model = fit_lda(tf, LdaConfig(k=k, seed=seed, max_iter=60))
+                trace = np.array(model.elbo_trace)
+                assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1])), (seed, k)
+                np.testing.assert_allclose(lda_elbo(model, tf), trace[-1], rtol=1e-9)
+
     def test_inner_updates_counted(self, rng):
         tf = random_tf(rng)
         a = fit_lda(tf, LdaConfig(k=3, seed=11, max_iter=25))
@@ -180,21 +202,58 @@ class TestContracts:
         assert settled.converged
 
 
+def assert_e_step_matches_loop(rng, mat, k, max_trips):
+    alpha = 1.0 / k
+    expElogbeta = np.exp(_dirichlet_expectation(rng.gamma(100.0, 0.01, (k, mat.shape[1]))))
+    start = alpha + rng.gamma(2.0, 5.0, (mat.shape[0], k))
+    gamma, ref_gamma = start.copy(), start.copy()
+    sstats, updates = _e_step(mat, gamma, expElogbeta, alpha, max_trips)
+    ref_sstats, ref_updates = loop_e_step(mat, ref_gamma, expElogbeta, alpha, max_trips)
+    np.testing.assert_allclose(gamma, ref_gamma, rtol=1e-12)
+    np.testing.assert_allclose(sstats, ref_sstats, rtol=1e-12)
+    assert updates == ref_updates <= max_trips * mat.shape[0]
+
+
+def assert_e_step_matches_loop_on_random_tf(rng, k, max_trips):
+    for _ in range(4):
+        tf = random_tf(rng, n_docs=12, n_terms=20)
+        assert_e_step_matches_loop(rng, tf.values.tocsr(), k, max_trips)
+
+
 class TestBatchedMatchesLoop:
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_e_step_matches_loop(self, rng, k):
-        for _ in range(4):
-            tf = random_tf(rng, n_docs=12, n_terms=20)
-            mat = tf.values.tocsr()
-            alpha = 1.0 / k
-            expElogbeta = np.exp(_dirichlet_expectation(rng.gamma(100.0, 0.01, (k, mat.shape[1]))))
-            start = alpha + rng.gamma(2.0, 5.0, (mat.shape[0], k))
-            gamma, ref_gamma = start.copy(), start.copy()
-            sstats, updates = _e_step(mat, gamma, expElogbeta, alpha)
-            ref_sstats, ref_updates = loop_e_step(mat, ref_gamma, expElogbeta, alpha)
-            np.testing.assert_allclose(gamma, ref_gamma, rtol=1e-12)
-            np.testing.assert_allclose(sstats, ref_sstats, rtol=1e-12)
-            assert updates == ref_updates
+        assert_e_step_matches_loop_on_random_tf(rng, k, lda._INNER_MAX_ITER)
+
+    @pytest.mark.parametrize("max_trips", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_e_step_matches_loop_under_cap(self, rng, k, max_trips):
+        assert_e_step_matches_loop_on_random_tf(rng, k, max_trips)
+
+    @pytest.mark.parametrize("max_trips", [1, 3, lda._INNER_MAX_ITER])
+    def test_e_step_matches_loop_on_uneven_rows(self, rng, max_trips):
+        # 1-entry rows next to rows over most of the vocabulary, so that
+        # documents leave the active set at very different trips
+        n_terms = 80
+        lengths = [1, 70, 1, 3, 55, 1, 2, 80, 1, 12, 40, 1]
+        indices = np.concatenate(
+            [np.sort(rng.choice(n_terms, size=n, replace=False)) for n in lengths]
+        )
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        data = rng.integers(1, 6, size=indptr[-1]).astype(np.float64)
+        mat = sp.csr_matrix((data, indices, indptr), shape=(len(lengths), n_terms))
+        for k in (2, 4):
+            assert_e_step_matches_loop(rng, mat, k, max_trips)
+
+    @pytest.mark.parametrize("max_trips", [1, 3, lda._INNER_MAX_ITER])
+    def test_e_step_matches_loop_on_duplicate_unsorted_indices(self, rng, max_trips):
+        indices = np.array([4, 1, 4, 0, 7, 7, 7, 2, 5, 3, 3, 6, 1, 0, 1])
+        indptr = np.array([0, 3, 7, 8, 11, 15])
+        data = rng.integers(1, 6, size=len(indices)).astype(np.float64)
+        mat = sp.csr_matrix((data, indices, indptr), shape=(5, 8))
+        assert not mat.has_canonical_format
+        for k in (2, 3):
+            assert_e_step_matches_loop(rng, mat, k, max_trips)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_bound_matches_loop(self, rng, k):
@@ -206,6 +265,31 @@ class TestBatchedMatchesLoop:
             np.testing.assert_allclose(
                 _bound(mat, gamma, lam, 0.3, 0.2), loop_bound(mat, gamma, lam, 0.3, 0.2), rtol=1e-12
             )
+
+
+class TestInnerSchedule:
+    def test_cap_doubles_up_to_the_maximum(self, rng, monkeypatch):
+        caps = []
+
+        def recording_e_step(mat, gamma, expElogbeta, alpha, max_trips):
+            caps.append(max_trips)
+            return _e_step(mat, gamma, expElogbeta, alpha, max_trips)
+
+        monkeypatch.setattr(lda, "_e_step", recording_e_step)
+        model = fit_lda(random_tf(rng), LdaConfig(k=2, max_iter=5, tol=0.0))
+        assert len(model.elbo_trace) == 5
+        assert caps == [256, 512, 1000, 1000, 1000]
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_planted_bound_no_lower_than_flat_cap(self, tmp_path, monkeypatch, k):
+        path = tmp_path / "planted.jsonl"
+        write_planted_corpus(path, seed=PLANTED_SEED)
+        docs, _ = preprocess_corpus(load_corpus(path))
+        tf = tf_matrix(docs, build_vocabulary(docs))
+        scheduled = fit_lda(tf, LdaConfig(k=k, seed=EXPERIMENT_SEED)).elbo_trace[-1]
+        monkeypatch.setattr(lda, "_INNER_FIRST", lda._INNER_MAX_ITER)
+        flat = fit_lda(tf, LdaConfig(k=k, seed=EXPERIMENT_SEED)).elbo_trace[-1]
+        assert scheduled >= flat - 1e-9 * abs(flat)
 
 
 class TestErrors:
