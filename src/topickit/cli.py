@@ -256,7 +256,8 @@ def _run_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig, out
     )
     try:
         doc_topic, topic_term, company_factor, meta = _fit_cell(method, k, bundle, config)
-        converged, n_iter = meta["converged"], len(meta["trace"])
+        # n_iter counts updates: NMF's trace also holds its starting objective.
+        converged, n_iter = meta["converged"], len(meta["trace"]) - (method == "nmf")
         report = build_report(method, k, doc_topic, topic_term, bundle.tf, bundle.vocab,
                               bundle.doc_companies, company_factor=company_factor,
                               company_ids=bundle.tensor.company_ids, n_keywords=config.n_keywords)

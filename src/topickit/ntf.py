@@ -6,9 +6,15 @@ alternating exact nonnegative column updates (HALS): per mode, each
 factor column is the closed-form clamped least-squares minimiser given
 everything else, so the error is non-increasing per sweep.
 
-All heavy lifting runs on the nonzero coordinates only; work per sweep
-scales with nnz * k plus the factor Gramians, never with the dense
-tensor volume.
+The support is stored once per fit as a CSR matrix whose rows are the
+distinct (doc, company) pairs and whose columns are the terms, so every
+matricised-tensor-times-Khatri-Rao product (MTTKRP) is a sparse product.
+A sweep makes two of cost nnz * k: ``X @ W`` serves the doc and company
+modes (W changes only in the term mode) and ``X.T @ (U[doc] * V[company])``
+the term mode.  The rest of the work, the pair-row gathers, the 0/1
+indicator products that sum pair rows by doc and by company, and the
+factor Gramians, is sized by pairs and factors, never by nnz * k or by
+the dense tensor volume.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .nmf import residual_norm_sq
 from .vectorize import DocCompanyTermTensor
@@ -46,41 +53,39 @@ class NtfModel:
         return (self.doc_factor, self.company_factor, self.term_factor)
 
 
-def _to_coords(x) -> tuple[tuple[int, int, int], tuple[np.ndarray, ...], np.ndarray]:
-    """Accept a DocCompanyTermTensor or a small dense 3-d array."""
+def _pair_matrix(x):
+    """Accept a DocCompanyTermTensor or a small dense 3-d array.
+
+    Returns the shape, the raw values, the (pair, term) CSR matrix with
+    repeated coordinates summed, and each pair row's doc and company index.
+    """
     if isinstance(x, DocCompanyTermTensor):
-        idx = (x.doc_idx, x.company_idx, x.term_idx)
-        return x.shape, idx, np.asarray(x.values, dtype=np.float64)
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"expected a 3-way tensor, got ndim={arr.ndim}")
-    nz = np.nonzero(arr)
-    return arr.shape, tuple(i.astype(np.int64) for i in nz), arr[nz]
+        shape, (d, c, t) = x.shape, (x.doc_idx, x.company_idx, x.term_idx)
+        values = np.asarray(x.values, dtype=np.float64)
+    else:
+        arr = np.asarray(x, dtype=np.float64)
+        if arr.ndim != 3:
+            raise ValueError(f"expected a 3-way tensor, got ndim={arr.ndim}")
+        shape, (d, c, t) = arr.shape, np.nonzero(arr)
+        values = arr[d, c, t]
+    keys, pair = np.unique(np.asarray(d, np.int64) * shape[1] + c, return_inverse=True)
+    mat = sp.csr_matrix((values, (pair, t)), shape=(len(keys), shape[2]))
+    return shape, values, mat, keys // shape[1], keys % shape[1]
 
 
-def _mttkrp(idx, values, factors, mode: int, dim: int, k: int) -> np.ndarray:
-    """Matricised-tensor-times-Khatri-Rao product for one mode, on nnz only."""
-    others = [m for m in range(3) if m != mode]
-    contrib = (
-        values[:, np.newaxis]
-        * factors[others[0]][idx[others[0]], :]
-        * factors[others[1]][idx[others[1]], :]
-    )
-    out = np.empty((dim, k))
-    target = idx[mode]
-    for r in range(k):
-        out[:, r] = np.bincount(target, weights=contrib[:, r], minlength=dim)
-    return out
+def _indicator(rows: np.ndarray, n_rows: int) -> sp.csr_matrix:
+    """0/1 matrix that sums pair rows into the given index's rows."""
+    return sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
+                         shape=(n_rows, len(rows)))
 
 
-def _reconstruct_at(idx, factors) -> np.ndarray:
-    """Model values at the support coordinates."""
-    return np.einsum(
-        "nr,nr,nr->n",
-        factors[0][idx[0], :],
-        factors[1][idx[1], :],
-        factors[2][idx[2], :],
-    )
+def _hals(a: np.ndarray, m: np.ndarray, gram_rest: np.ndarray) -> np.ndarray:
+    """Update the columns of ``a`` in place from its MTTKRP; return its Gramian."""
+    for r in range(a.shape[1]):
+        # gram_rest[r, r] >= 1e-48: every entry is at least _FLOOR.
+        col = a[:, r] + (m[:, r] - a @ gram_rest[:, r]) / gram_rest[r, r]
+        a[:, r] = np.maximum(col, _FLOOR)
+    return a.T @ a
 
 
 def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) -> NtfModel:
@@ -92,7 +97,7 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
     non-increasing.  Entries are clamped at a small positive floor rather
     than zero, so a collapsed column can regrow in a later sweep.
     """
-    shape, idx, values = _to_coords(x)
+    shape, values, mat, pair_doc, pair_comp = _pair_matrix(x)
     if any(d == 0 for d in shape):
         raise ValueError(f"empty tensor: shape {shape}")
     if not 1 <= k <= min(shape):
@@ -106,27 +111,23 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
         f = np.abs(rng.standard_normal((dim, k)))
         f /= np.linalg.norm(f, axis=0, keepdims=True)
         factors.append(f)
-    grams = [f.T @ f for f in factors]
+    a, b, c = factors
+    ga, gb, gc = (f.T @ f for f in factors)
+    by_doc, by_comp = _indicator(pair_doc, shape[0]), _indicator(pair_comp, shape[1])
 
-    norm_x_sq = float(values @ values)
+    norm_x_sq = float(mat.data @ mat.data)
     trace: list[float] = []
     converged = False
 
     for sweep in range(max_sweeps):
-        mttkrp_last = None
-        for mode in range(3):
-            others = [m for m in range(3) if m != mode]
-            gram_rest = grams[others[0]] * grams[others[1]]
-            m_mode = _mttkrp(idx, values, factors, mode, shape[mode], k)
-            a = factors[mode]
-            for r in range(k):
-                # gram_rest[r, r] >= 1e-48: every entry is at least _FLOOR.
-                col = a[:, r] + (m_mode[:, r] - a @ gram_rest[:, r]) / gram_rest[r, r]
-                a[:, r] = np.maximum(col, _FLOOR)
-            grams[mode] = a.T @ a
-            mttkrp_last = m_mode
+        xc = mat @ c
+        ga = _hals(a, by_doc @ (xc * b.take(pair_comp, axis=0)), gb * gc)
+        a_pairs = a.take(pair_doc, axis=0)
+        gb = _hals(b, by_comp @ (a_pairs * xc), ga * gc)
+        m_term = mat.T @ (a_pairs * b.take(pair_comp, axis=0))
+        gc = _hals(c, m_term, ga * gb)
 
-        err = residual_norm_sq(norm_x_sq, float(np.sum(mttkrp_last * factors[2])), grams)
+        err = residual_norm_sq(norm_x_sq, float(np.sum(m_term * c)), (ga, gb, gc))
         if not (np.isfinite(err) and all(np.all(np.isfinite(f)) for f in factors)):
             raise RuntimeError(f"CP update produced NaN/Inf at sweep {sweep + 1}")
         prev = trace[-1] if trace else None
@@ -135,28 +136,22 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
             converged = True
             break
 
-    return NtfModel(
-        doc_factor=factors[0],
-        company_factor=factors[1],
-        term_factor=factors[2],
-        error_trace=trace,
-        converged=converged,
-    )
+    return NtfModel(doc_factor=a, company_factor=b, term_factor=c,
+                    error_trace=trace, converged=converged)
 
 
 def cp_reconstruction_error(x, model: NtfModel) -> float:
     """Squared Frobenius norm of the residual, computed on the support.
 
     ``||X - Xhat||^2 = ||X||^2 - 2 <X, Xhat> + ||Xhat||^2`` where the
-    inner product runs over the nonzeros and the model norm comes from the
-    factor Gramians, so no dense tensor is formed.
+    inner product comes from the pair matrix's term-mode MTTKRP and the
+    model norm from the factor Gramians, so no dense tensor is formed.
     """
-    shape, idx, values = _to_coords(x)
-    factors = model.factors
-    if tuple(f.shape[0] for f in factors) != tuple(shape):
-        raise ValueError(
-            f"factor dims {tuple(f.shape[0] for f in factors)} do not match "
-            f"tensor shape {tuple(shape)}"
-        )
-    inner = float(values @ _reconstruct_at(idx, factors))
-    return residual_norm_sq(float(values @ values), inner, [f.T @ f for f in factors])
+    shape, _, mat, pair_doc, pair_comp = _pair_matrix(x)
+    a, b, c = model.factors
+    if (len(a), len(b), len(c)) != tuple(shape):
+        raise ValueError(f"factor dims {(len(a), len(b), len(c))} do not match "
+                         f"tensor shape {tuple(shape)}")
+    m_term = mat.T @ (a.take(pair_doc, axis=0) * b.take(pair_comp, axis=0))
+    inner = float(np.sum(m_term * c))
+    return residual_norm_sq(float(mat.data @ mat.data), inner, [f.T @ f for f in model.factors])

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from topickit.ntf import NtfModel, cp_reconstruction_error, fit_ntf
+from topickit.ntf import _FLOOR, NtfModel, _indicator, _pair_matrix, cp_reconstruction_error, fit_ntf
 from topickit.vectorize import DocCompanyTermTensor, build_tensor, build_vocabulary
 
 from conftest import random_tokenized
@@ -25,6 +25,52 @@ def random_sparse_tensor(rng, shape, nnz):
         shape=shape, doc_idx=d, company_idx=c, term_idx=t, values=values,
         company_ids=(),
     )
+
+
+def to_dense(tensor):
+    dense = np.zeros(tensor.shape)
+    np.add.at(dense, (tensor.doc_idx, tensor.company_idx, tensor.term_idx), tensor.values)
+    return dense
+
+
+def einsum_mttkrps(dense, a, b, c):
+    """Dense MTTKRP per mode, each from the factors the sweep would use."""
+    return (
+        np.einsum("ijt,jr,tr->ir", dense, b, c),
+        np.einsum("ijt,ir,tr->jr", dense, a, c),
+        np.einsum("ijt,ir,jr->tr", dense, a, b),
+    )
+
+
+def pair_mttkrps(x, a, b, c):
+    """The per-mode MTTKRPs as fit_ntf forms them from the pair matrix."""
+    shape, _, mat, pair_doc, pair_comp = _pair_matrix(x)
+    xc = mat @ c
+    a_pairs, b_pairs = a.take(pair_doc, axis=0), b.take(pair_comp, axis=0)
+    return (
+        _indicator(pair_doc, shape[0]) @ (xc * b_pairs),
+        _indicator(pair_comp, shape[1]) @ (a_pairs * xc),
+        mat.T @ (a_pairs * b_pairs),
+    )
+
+
+def dense_hals(dense, k, sweeps, seed):
+    """HALS sweeps on the dense tensor with einsum MTTKRPs, fit_ntf's start."""
+    rng = np.random.default_rng(seed)
+    factors = []
+    for dim in dense.shape:
+        f = np.abs(rng.standard_normal((dim, k)))
+        factors.append(f / np.linalg.norm(f, axis=0, keepdims=True))
+    for _ in range(sweeps):
+        for mode in range(3):
+            m = einsum_mttkrps(dense, *factors)[mode]
+            rest = [factors[i].T @ factors[i] for i in range(3) if i != mode]
+            gram_rest = rest[0] * rest[1]
+            a = factors[mode]
+            for r in range(k):
+                col = a[:, r] + (m[:, r] - a @ gram_rest[:, r]) / gram_rest[r, r]
+                a[:, r] = np.maximum(col, _FLOOR)
+    return factors
 
 
 def error_oracle(dense, model):
@@ -110,6 +156,70 @@ class TestFit:
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0
         assert model.error_trace[-1] <= model.error_trace[0]
+
+    def test_repeated_coordinates_fit_as_their_sum(self):
+        # (1, 0, 2) is stored twice, as 1.0 and 2.0: the tensor is the sum
+        d = np.array([0, 1, 1, 2, 3, 1])
+        c = np.array([0, 0, 1, 1, 0, 0])
+        t = np.array([1, 2, 0, 3, 3, 2])
+        values = np.array([0.5, 1.0, 1.5, 2.5, 0.7, 2.0])
+        tensor = DocCompanyTermTensor(shape=(4, 2, 4), doc_idx=d, company_idx=c,
+                                      term_idx=t, values=values, company_ids=())
+        dense = to_dense(tensor)
+        assert dense[1, 0, 2] == 3.0
+        coo_fit = fit_ntf(tensor, 2, max_sweeps=30, seed=4)
+        dense_fit = fit_ntf(dense, 2, max_sweeps=30, seed=4)
+        np.testing.assert_allclose(coo_fit.error_trace, dense_fit.error_trace, rtol=1e-12)
+        np.testing.assert_allclose(cp_reconstruction_error(tensor, coo_fit),
+                                   cp_reconstruction_error(dense, dense_fit), rtol=1e-12)
+        np.testing.assert_allclose(cp_reconstruction_error(tensor, coo_fit),
+                                   error_oracle(dense, coo_fit), rtol=1e-9)
+
+    def test_sweeps_match_dense_hals(self):
+        for seed in range(5):
+            tensor = random_sparse_tensor(np.random.default_rng(seed), (9, 4, 11), nnz=90)
+            model = fit_ntf(tensor, 3, max_sweeps=4, tol=0.0, seed=seed)
+            for got, want in zip(model.factors, dense_hals(to_dense(tensor), 3, 4, seed)):
+                np.testing.assert_allclose(got, want, rtol=1e-10)
+
+
+class TestMttkrp:
+    @staticmethod
+    def check(x, dense, rng, k=3):
+        a, b, c = (rng.uniform(0.1, 1.0, (dim, k)) for dim in dense.shape)
+        got = pair_mttkrps(x, a, b, c)
+        for mode, want in enumerate(einsum_mttkrps(dense, a, b, c)):
+            assert got[mode].shape == want.shape, mode
+            np.testing.assert_allclose(got[mode], want, rtol=1e-12, err_msg=f"mode {mode}")
+        return got
+
+    def test_documents_spanning_companies(self, rng):
+        for seed in range(10):
+            local = np.random.default_rng(100 + seed)
+            tensor = random_sparse_tensor(local, (7, 3, 9), nnz=60)
+            dense = to_dense(tensor)
+            # the case the pair rows exist for: one doc in several companies
+            assert any(np.count_nonzero(dense[i].sum(axis=1)) > 1 for i in range(7))
+            self.check(tensor, dense, local)
+            self.check(dense, dense, local)
+
+    def test_build_tensor_pairs_are_documents(self, rng):
+        docs = random_tokenized(rng, n_docs=12, vocab_size=15)
+        vocab = build_vocabulary(docs)
+        company_map = {d.doc_id: f"c{int(rng.integers(0, 3))}" for d in docs}
+        tensor = build_tensor(docs, vocab, company_map)
+        _, _, mat, pair_doc, _ = _pair_matrix(tensor)
+        assert np.array_equal(pair_doc, np.arange(len(docs)))
+        assert mat.nnz == tensor.nnz
+        self.check(tensor, to_dense(tensor), rng)
+
+    def test_empty_slices_give_zero_rows(self, rng):
+        dense = np.abs(rng.standard_normal((5, 4, 6)))
+        dense[2] = 0.0  # document 2 has no entries
+        dense[:, 1] = 0.0  # nor has company 1
+        m_doc, m_comp, _ = self.check(dense, dense, rng)
+        assert np.all(m_doc[2] == 0.0)
+        assert np.all(m_comp[1] == 0.0)
 
 
 class TestReconstructionError:
