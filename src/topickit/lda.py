@@ -1,23 +1,25 @@
 """Latent Dirichlet Allocation fitted by batch variational inference.
 
-The fit alternates an E-step (coordinate ascent on the variational
-Dirichlet parameters of all documents at once, warm-started across
-iterations) with a global M-step, and records the evidence lower bound
-after every iteration.  The bound has the word responsibilities
-collapsed out, so every gamma update and every lambda update is an exact
-block coordinate-ascent step on it: the recorded bound is non-decreasing
-up to floating-point noise for any number of inner updates.
+A warm-started E-step (coordinate ascent on every document's gamma)
+alternates with a global M-step.  The recorded bound has the word
+responsibilities collapsed out, so every gamma and lambda update is an
+exact coordinate-ascent step on it, and the trace is non-decreasing for
+any number of inner updates; those are capped at 256, 512, then 1000 per
+E-step (Hoffman, Blei & Bach 2010).  Both Dirichlet priors are 1/K.
 
-Each E-step caps a document's gamma updates on a doubling schedule:
-256 on the first outer iteration, 512 on the second and 1000 from the
-third on.  The first E-step runs against a random lambda that the
-M-step replaces, so driving its gammas to a fixed point is mostly wasted
-work; the cap bounds it, as online VB (Hoffman, Blei & Bach 2010) and
-scikit-learn's ``max_doc_update_iter`` do.
+The E-step holds K-major arrays, topics down and documents or stored
+entries across, one row block of at most ``_BLOCK_FLOATS / K`` stored
+entries at a time.  The active documents' gamma is a local (K, n_active)
+block, written back as each leaves.  Every per-document value is
+computed column by column, so the fit is bit-identical for any number
+of blocks.
 
-Both Dirichlet priors are symmetric and fixed at 1/K.  Stored matrices
-are the normalised variational means: each row of ``doc_topic`` and
-``topic_term`` is a probability distribution.
+The bound's word term, sum n_dw log phinorm_dw at (gamma_t, lambda_{t+1}),
+takes the phinorm that the next E-step's first trip starts from: it is
+computed once after each M-step.  E[log theta] is shifted by each
+document's maximum before ``exp``, so phinorm cannot underflow into its
+1e-100 floor; the shift cancels in the gamma update and the bound adds
+it back.
 """
 
 from __future__ import annotations
@@ -26,24 +28,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import gammaln, logsumexp, psi
+from scipy.special import gammaln, psi
 
+from .nmf import check_solver_settings
 from .vectorize import DocTermMatrix
 
 __all__ = ["LdaConfig", "LdaModel", "fit_lda", "lda_elbo"]
 
-# Inner gamma updates per E-step: a document stops once its mean absolute
-# gamma change is below _INNER_TOL times its mean gamma (the relative
-# threshold of Hoffman, Blei & Bach 2010; at 1e-5 the K=5 fit of the
-# planted acceptance corpus already ends at a lower optimum), or at the
-# E-step's cap.  The cap of outer iteration t is
-# min(_INNER_MAX_ITER, _INNER_FIRST * 2**t): 256, 512, then 1000.
-# _INNER_FIRST is the smallest power of two at which no planted K (2-6)
-# ends at a lower bound than under a flat cap of 1000; at 128 and 64 the
-# K=4 fit settles at a lower fixed point.
+# A document's inner updates stop once its mean absolute gamma change is below
+# _INNER_TOL times its mean gamma (at 1e-5 the planted K=5 fit ends lower), or
+# at min(_INNER_MAX_ITER, _INNER_FIRST * 2**t) in outer iteration t: the least
+# power of two at which no planted K (2-6) ends lower than under a flat 1000.
 _INNER_MAX_ITER = 1000
 _INNER_FIRST = 256
 _INNER_TOL = 1e-6
+# Bound on K times a row block's stored entries; a longer row is a block alone.
+_BLOCK_FLOATS = 2**20
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class LdaConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
+        check_solver_settings("max_iter", self.max_iter, self.tol)
 
 
 @dataclass
@@ -69,17 +70,9 @@ class LdaModel:
     beta: float  # topic-word prior, 1/K
     converged: bool
     inner_updates: int  # per-document gamma updates over all E-steps
-    # Variational Dirichlet parameters the distributions were normalised
-    # from; kept so the bound can be recomputed on the fitted model.
+    # Variational parameters behind the distributions, for lda_elbo.
     gamma_: np.ndarray = field(repr=False, default=None)
     lambda_: np.ndarray = field(repr=False, default=None)
-
-
-def _dirichlet_expectation(x: np.ndarray) -> np.ndarray:
-    """E[log p] for Dirichlet rows parameterised by x."""
-    if x.ndim == 1:
-        return psi(x) - psi(np.sum(x))
-    return psi(x) - psi(np.sum(x, axis=1))[:, np.newaxis]
 
 
 def _validate_tf(tf: DocTermMatrix) -> sp.csr_matrix:
@@ -99,131 +92,134 @@ def _validate_tf(tf: DocTermMatrix) -> sp.csr_matrix:
     return mat
 
 
-def _nnz_rows(lengths) -> np.ndarray:
-    """Row index of every stored entry of a CSR matrix with these row lengths."""
-    return np.repeat(np.arange(len(lengths)), lengths)
+def _blocks(indptr, k: int) -> list[tuple]:
+    """Row ranges (start, stop, first entry, end entry) of <= ``_BLOCK_FLOATS // k`` entries."""
+    cap, starts = max(1, _BLOCK_FLOATS // k), [0]
+    while starts[-1] < len(indptr) - 1:
+        end = np.searchsorted(indptr, indptr[starts[-1]] + cap, side="right") - 1
+        starts.append(max(starts[-1] + 1, int(end)))
+    return [(a, b, indptr[a], indptr[b]) for a, b in zip(starts[:-1], starts[1:])]
 
 
-def _e_step(mat, gamma, expElogbeta, alpha, max_trips):
-    """Coordinate ascent on every document's gamma at once.
+def _colsum(x: np.ndarray) -> np.ndarray:
+    """Column sums added row by row; numpy sums a lone column pairwise instead."""
+    return x.sum(axis=0) if x.shape[1] > 1 else np.add.accumulate(x)[-1]
 
-    Updates ``gamma`` in place and returns the sufficient statistics and
-    the number of per-document gamma updates made.  Each trip updates all
-    active documents from the nnz arrays; a document leaves the active
-    set once its mean absolute gamma change is below ``_INNER_TOL`` times
-    its mean gamma, or after ``max_trips`` updates.
-    """
-    betaT = np.ascontiguousarray(expElogbeta.T)
-    lengths = np.diff(mat.indptr)
-    rows = _nnz_rows(lengths)
-    betad = betaT.take(mat.indices, axis=0)  # (nnz, K)
-    expElogtheta = np.exp(_dirichlet_expectation(gamma))
 
-    # Active set: its document ids and its slices of the nnz arrays, with
-    # each document's entry count, local row ids and first entry.  The
-    # segment sums rely on _validate_tf: reduceat returns a[start], not
-    # zero, for an empty segment, and no row is empty.  Rows are gathered
-    # with take, which copies them several times faster than fancy indexing.
-    active = np.arange(mat.shape[0])
-    cts, sub_rows, sub_betad, starts = mat.data, rows, betad, mat.indptr[:-1]
+def _exp_elog_theta(gamma: np.ndarray) -> np.ndarray:
+    """exp(E[log theta]) of (K, n) gamma, each column shifted by its maximum."""
+    p = psi(gamma)  # psi(sum gamma) is the same for every topic: the shift drops it
+    return np.exp(p - p.max(axis=0))
+
+
+def _phinorm(theta, lengths, betad) -> np.ndarray:
+    """sum_k theta[k, d] betad[k, n] + 1e-100 per entry n, document d owning lengths[d]."""
+    n = betad.shape[1]
+    if n == 1:  # einsum sums a lone column in another order
+        lengths, betad = lengths * 2, np.repeat(betad, 2, axis=1)
+    return np.einsum("kn,kn->n", theta.repeat(lengths, axis=1), betad)[:n] + 1e-100
+
+
+def _phinorm_at(mat, blocks, theta, expElogbeta) -> np.ndarray:
+    """phinorm of every stored entry at (theta, expElogbeta), one row block at a time."""
+    phinorm = np.empty(mat.nnz)
+    for start, stop, lo, hi in blocks:
+        betad = expElogbeta.take(mat.indices[lo:hi], axis=1)
+        phinorm[lo:hi] = _phinorm(theta[:, start:stop], np.diff(mat.indptr[start:stop + 1]), betad)
+    return phinorm
+
+
+def _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips):
+    """Coordinate ascent on (K, D) gamma, in place, from phinorm there: (sstats, updates)."""
     updates = 0
-    for _ in range(max_trips):
-        thetad = expElogtheta.take(active, axis=0)
-        phinorm = np.einsum("nk,nk->n", thetad.take(sub_rows, axis=0), sub_betad) + 1e-100
-        new = alpha + thetad * np.add.reduceat(sub_betad * (cts / phinorm)[:, None], starts)
-        updates += len(active)
-        change = np.abs(new - gamma.take(active, axis=0)).sum(axis=1)
-        # mean |change| >= tol * mean gamma, both means over the same K topics
-        moving = change >= _INNER_TOL * new.sum(axis=1)
-        gamma[active] = new
-        expElogtheta[active] = np.exp(_dirichlet_expectation(new))
-        if not moving.any():
-            break
-        if not moving.all():
-            kept = moving[sub_rows]
-            active, lengths = active[moving], lengths[moving]
-            cts, sub_betad = cts[kept], sub_betad[kept]
-            sub_rows = _nnz_rows(lengths)
-            starts = np.cumsum(lengths) - lengths
-
-    phinorm = np.einsum("nk,nk->n", expElogtheta.take(rows, axis=0), betad) + 1e-100
+    for start, stop, lo, hi in blocks:
+        docs, lengths = np.arange(start, stop), np.diff(mat.indptr[start:stop + 1])
+        starts = mat.indptr[start:stop] - lo  # reduceat: no row is empty (_validate_tf)
+        cts, betad = mat.data[lo:hi], expElogbeta.take(mat.indices[lo:hi], axis=1)
+        g, ph = gamma[:, start:stop], phinorm[lo:hi]
+        th = _exp_elog_theta(g)
+        for trip in range(max_trips):
+            new = alpha + th * np.add.reduceat(betad * (cts / ph), starts, axis=1)
+            updates += len(docs)
+            # mean |change| >= tol * mean gamma, over the same K topics; all stop at the cap
+            moving = (_colsum(abs(new - g)) >= _INNER_TOL * _colsum(new)) & (trip + 1 < max_trips)
+            g, th = new, _exp_elog_theta(new)
+            n_moving = np.count_nonzero(moving)
+            if n_moving < len(docs):
+                # compress copies columns several times faster than a boolean index
+                gamma[:, docs[~moving]] = g.compress(~moving, axis=1)
+                if n_moving == 0:
+                    break
+                kept = moving.repeat(lengths)
+                docs, lengths, cts = docs[moving], lengths[moving], cts[kept]
+                g, th = g.compress(moving, axis=1), th.compress(moving, axis=1)
+                betad = betad.compress(kept, axis=1)
+                starts = np.cumsum(lengths) - lengths
+            ph = _phinorm(th, lengths, betad)
+    theta = _exp_elog_theta(gamma)
+    phinorm = _phinorm_at(mat, blocks, theta, expElogbeta)
     ratio = sp.csr_matrix((mat.data / phinorm, mat.indices, mat.indptr), shape=mat.shape)
-    return (ratio.T @ expElogtheta).T * expElogbeta, updates
+    return (ratio.T @ theta.T).T * expElogbeta, updates
 
 
-def _bound(mat, gamma, lam, alpha, beta) -> float:
-    """Evidence lower bound of the corpus under the variational posterior."""
-    n_docs, _ = gamma.shape
-    k, n_terms = lam.shape
-    Elogtheta = _dirichlet_expectation(gamma)
-    Elogbeta = _dirichlet_expectation(lam)
-
-    rows = _nnz_rows(np.diff(mat.indptr))
-    log_phinorm = logsumexp(Elogtheta[rows] + Elogbeta.T[mat.indices], axis=1)
-    score = float(mat.data @ log_phinorm)
-
+def _bound(mat, blocks, gamma, lam, alpha, beta):
+    """Evidence lower bound at ((K, D) gamma, lam), with exp(E[log beta]) and phinorm there."""
+    (k, n_docs), n_terms = gamma.shape, lam.shape[1]
+    Elogtheta = psi(gamma) - psi(np.sum(gamma, axis=0))  # E[log theta] and E[log beta]
+    Elogbeta = psi(lam) - psi(np.sum(lam, axis=1, keepdims=True))
+    expElogbeta = np.exp(Elogbeta)
+    phinorm = _phinorm_at(mat, blocks, _exp_elog_theta(gamma), expElogbeta)
+    # sum n_dw log phinorm_dw, each document's shift max_k E[log theta_dk] added back
+    doc_lengths = np.asarray(mat.sum(axis=1)).ravel()
+    score = float(mat.data @ np.log(phinorm)) + float(doc_lengths @ Elogtheta.max(axis=0))
     # E[log p(theta | alpha)] - E[log q(theta | gamma)]
     score += float(np.sum((alpha - gamma) * Elogtheta))
-    score += float(np.sum(gammaln(gamma)) - np.sum(gammaln(np.sum(gamma, axis=1))))
+    score += float(np.sum(gammaln(gamma)) - np.sum(gammaln(np.sum(gamma, axis=0))))
     score += n_docs * (gammaln(k * alpha) - k * gammaln(alpha))
-
     # E[log p(beta_topic | beta)] - E[log q(beta_topic | lambda)]
     score += float(np.sum((beta - lam) * Elogbeta))
     score += float(np.sum(gammaln(lam)) - np.sum(gammaln(np.sum(lam, axis=1))))
     score += k * (gammaln(n_terms * beta) - n_terms * gammaln(beta))
-    return score
+    return score, expElogbeta, phinorm
 
 
 def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
     """Fit LDA on a term-count matrix.
 
-    The topic-term parameters start from seeded Gamma(100, 0.01) noise and
-    the per-document responsibilities start uniform, so identical inputs
-    and seed give bitwise-identical output.  A model that hits ``max_iter``
-    without meeting ``tol`` is returned with ``converged=False``.
+    Lambda starts from seeded Gamma(100, 0.01) noise and gamma uniform, so
+    identical inputs and seed give bitwise-identical output.  A model that
+    hits ``max_iter`` without meeting ``tol`` has ``converged=False``.
     """
     mat = _validate_tf(tf)
     n_docs, n_terms = mat.shape
     if config.k > n_docs:
         raise ValueError(f"k={config.k} exceeds document count {n_docs}")
-
     alpha = beta = 1.0 / config.k
-    rng = np.random.default_rng(config.seed)
-    lam = rng.gamma(100.0, 0.01, (config.k, n_terms))
-    # Uniform starting responsibilities: every topic gets an equal share
-    # of each document's mass.
-    doc_lengths = np.asarray(mat.sum(axis=1)).ravel()
-    gamma = alpha + np.tile(doc_lengths[:, np.newaxis] / config.k, (1, config.k))
+    lam = np.random.default_rng(config.seed).gamma(100.0, 0.01, (config.k, n_terms))
+    # Every topic gets an equal share of each document; gamma is (K, D) until the end.
+    gamma = alpha + np.tile(np.asarray(mat.sum(axis=1)).T / config.k, (config.k, 1))
+    blocks = _blocks(mat.indptr, config.k)
+    _, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta)
 
-    trace: list[float] = []
-    converged = False
-    inner_updates = 0
+    trace, converged, inner_updates = [], False, 0
     for iteration in range(config.max_iter):
-        expElogbeta = np.exp(_dirichlet_expectation(lam))
         max_trips = min(_INNER_MAX_ITER, _INNER_FIRST << iteration)
-        sstats, updates = _e_step(mat, gamma, expElogbeta, alpha, max_trips)
+        sstats, updates = _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips)
         inner_updates += updates
         lam = beta + sstats
-        bound = _bound(mat, gamma, lam, alpha, beta)
+        bound, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta)
         if not (np.isfinite(bound) and np.all(np.isfinite(gamma)) and np.all(np.isfinite(lam))):
             raise RuntimeError(f"LDA update produced NaN/Inf at iteration {iteration + 1}")
         trace.append(bound)
-        if len(trace) > 1:
-            prev = trace[-2]
-            if abs(bound - prev) <= config.tol * abs(prev):
-                converged = True
-                break
+        if len(trace) > 1 and abs(bound - trace[-2]) <= config.tol * abs(trace[-2]):
+            converged = True
+            break
 
+    gamma = np.ascontiguousarray(gamma.T)
     return LdaModel(
         doc_topic=gamma / gamma.sum(axis=1, keepdims=True),
-        topic_term=lam / lam.sum(axis=1, keepdims=True),
-        elbo_trace=trace,
-        alpha=alpha,
-        beta=beta,
-        converged=converged,
-        inner_updates=inner_updates,
-        gamma_=gamma,
-        lambda_=lam,
+        topic_term=lam / lam.sum(axis=1, keepdims=True), elbo_trace=trace, alpha=alpha,
+        beta=beta, converged=converged, inner_updates=inner_updates, gamma_=gamma, lambda_=lam,
     )
 
 
@@ -231,8 +227,8 @@ def lda_elbo(model: LdaModel, tf: DocTermMatrix) -> float:
     """Recompute the variational bound of a fitted model on a TF matrix."""
     mat = _validate_tf(tf)
     if model.gamma_.shape[0] != mat.shape[0] or model.lambda_.shape[1] != mat.shape[1]:
-        raise ValueError(
-            f"model shape ({model.gamma_.shape[0]}, {model.lambda_.shape[1]}) does not "
-            f"match matrix shape {mat.shape}"
-        )
-    return _bound(mat, model.gamma_, model.lambda_, model.alpha, model.beta)
+        raise ValueError(f"model shape ({model.gamma_.shape[0]}, {model.lambda_.shape[1]}) "
+                         f"does not match matrix shape {mat.shape}")
+    gamma = np.ascontiguousarray(model.gamma_.T)
+    blocks = _blocks(mat.indptr, gamma.shape[0])
+    return _bound(mat, blocks, gamma, model.lambda_, model.alpha, model.beta)[0]

@@ -24,6 +24,8 @@ the input is O((D + V) K).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -154,6 +156,16 @@ def _half_residual(norm_x_sq: float, wtx, wtw, h, hht) -> float:
     return 0.5 * residual_norm_sq(norm_x_sq, float(np.sum(wtx * h)), (wtw, hht))
 
 
+def check_solver_settings(cap_name: str, cap, tol) -> None:
+    """Raise ValueError naming the setting unless ``cap`` is an integer >= 1
+    and ``tol`` a finite number >= 0."""
+    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
+        raise ValueError(f"{cap_name} must be an integer >= 1, got {cap!r}")
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    if not (real and math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def residual_norm_sq(norm_x_sq: float, inner: float, grams) -> float:
     """``||X - Xhat||^2 = ||X||^2 - 2 <X, Xhat> + ||Xhat||^2`` for a CP model
     (NMF is the two-way case), with ``||Xhat||^2`` the sum of the elementwise
@@ -178,6 +190,7 @@ def fit_nmf(
     depend on ``seed``; an explicit ``init=(doc_topic0, topic_term0)``
     overrides it.
     """
+    check_solver_settings("max_iter", max_iter, tol)
     mat = _as_2d(x)
     _check_nonnegative(mat, "NMF input")
     if init is None:

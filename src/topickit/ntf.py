@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .nmf import residual_norm_sq
+from .nmf import check_solver_settings, residual_norm_sq
 from .vectorize import DocCompanyTermTensor
 
 __all__ = ["NtfModel", "fit_ntf", "cp_reconstruction_error"]
@@ -97,6 +97,7 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
     non-increasing.  Entries are clamped at a small positive floor rather
     than zero, so a collapsed column can regrow in a later sweep.
     """
+    check_solver_settings("max_sweeps", max_sweeps, tol)
     shape, values, mat, pair_doc, pair_comp = _pair_matrix(x)
     if any(d == 0 for d in shape):
         raise ValueError(f"empty tensor: shape {shape}")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +7,7 @@ from scipy.special import gammaln, logsumexp, psi
 
 from topickit import lda
 from topickit.corpus import load_corpus, preprocess_corpus
-from topickit.lda import LdaConfig, _bound, _dirichlet_expectation, _e_step, fit_lda, lda_elbo
+from topickit.lda import LdaConfig, LdaModel, _e_step, fit_lda, lda_elbo
 from topickit.vectorize import DocTermMatrix, build_vocabulary, tf_matrix
 
 from conftest import random_tokenized, toks
@@ -41,6 +43,11 @@ def tf_with_counts(rng, counts):
     return DocTermMatrix(values, "tf", tf.doc_ids)
 
 
+def dirichlet_expectation(x):
+    """E[log p] for Dirichlet rows (or one vector) parameterised by x."""
+    return psi(x) - psi(np.sum(x, axis=-1, keepdims=True))
+
+
 def loop_e_step(mat, gamma, expElogbeta, alpha, max_trips):
     """Reference E-step: coordinate ascent one document at a time."""
     sstats = np.zeros_like(expElogbeta)
@@ -50,14 +57,14 @@ def loop_e_step(mat, gamma, expElogbeta, alpha, max_trips):
         ids = mat.indices[start:end]
         cts = mat.data[start:end]
         gammad = gamma[d]
-        expElogthetad = np.exp(_dirichlet_expectation(gammad))
+        expElogthetad = np.exp(dirichlet_expectation(gammad))
         expElogbetad = expElogbeta[:, ids]
         phinorm = expElogthetad @ expElogbetad + 1e-100
         for _ in range(max_trips):
             last = gammad
             gammad = alpha + expElogthetad * ((cts / phinorm) @ expElogbetad.T)
             updates += 1
-            expElogthetad = np.exp(_dirichlet_expectation(gammad))
+            expElogthetad = np.exp(dirichlet_expectation(gammad))
             phinorm = expElogthetad @ expElogbetad + 1e-100
             if np.mean(np.abs(gammad - last)) < lda._INNER_TOL * np.mean(gammad):
                 break
@@ -71,8 +78,8 @@ def loop_bound(mat, gamma, lam, alpha, beta):
     """Reference bound: the word term summed one document at a time."""
     n_docs, k = gamma.shape
     n_terms = lam.shape[1]
-    Elogtheta = _dirichlet_expectation(gamma)
-    Elogbeta = _dirichlet_expectation(lam)
+    Elogtheta = dirichlet_expectation(gamma)
+    Elogbeta = dirichlet_expectation(lam)
     score = 0.0
     for d in range(n_docs):
         start, end = mat.indptr[d], mat.indptr[d + 1]
@@ -95,6 +102,23 @@ def random_min_df_tf(rng):
     tf = tf_matrix(docs, build_vocabulary(docs, min_df=int(rng.integers(1, 4))))
     keep = np.flatnonzero(np.diff(tf.values.indptr))
     return DocTermMatrix(tf.values[keep], "tf", tuple(tf.doc_ids[i] for i in keep))
+
+
+def uneven_tf(rng):
+    """TF whose one-entry documents sit next to documents over most of the vocabulary."""
+    lengths = [1, 70, 1, 3, 55, 1, 2, 80, 1, 12, 40, 1]
+    indices = np.concatenate([np.sort(rng.choice(80, size=n, replace=False)) for n in lengths])
+    indptr = np.concatenate([[0], np.cumsum(lengths)])
+    data = rng.integers(1, 6, size=indptr[-1]).astype(np.float64)
+    values = sp.csr_matrix((data, indices, indptr), shape=(len(lengths), 80))
+    return DocTermMatrix(values, "tf", tuple(f"d{i:03d}" for i in range(len(lengths))))
+
+
+def planted_tf(tmp_path):
+    path = tmp_path / "planted.jsonl"
+    write_planted_corpus(path, seed=PLANTED_SEED)
+    docs, _ = preprocess_corpus(load_corpus(path))
+    return tf_matrix(docs, build_vocabulary(docs))
 
 
 def assert_elbo_non_decreasing(rng):
@@ -204,10 +228,13 @@ class TestContracts:
 
 def assert_e_step_matches_loop(rng, mat, k, max_trips):
     alpha = 1.0 / k
-    expElogbeta = np.exp(_dirichlet_expectation(rng.gamma(100.0, 0.01, (k, mat.shape[1]))))
+    expElogbeta = np.exp(dirichlet_expectation(rng.gamma(100.0, 0.01, (k, mat.shape[1]))))
     start = alpha + rng.gamma(2.0, 5.0, (mat.shape[0], k))
-    gamma, ref_gamma = start.copy(), start.copy()
-    sstats, updates = _e_step(mat, gamma, expElogbeta, alpha, max_trips)
+    gamma, ref_gamma = start.T.copy(), start.copy()  # the library's gamma is (K, D)
+    blocks = lda._blocks(mat.indptr, k)
+    phinorm = lda._phinorm_at(mat, blocks, lda._exp_elog_theta(gamma), expElogbeta)
+    sstats, updates = _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips)
+    gamma = gamma.T
     ref_sstats, ref_updates = loop_e_step(mat, ref_gamma, expElogbeta, alpha, max_trips)
     np.testing.assert_allclose(gamma, ref_gamma, rtol=1e-12)
     np.testing.assert_allclose(sstats, ref_sstats, rtol=1e-12)
@@ -218,6 +245,18 @@ def assert_e_step_matches_loop_on_random_tf(rng, k, max_trips):
     for _ in range(4):
         tf = random_tf(rng, n_docs=12, n_terms=20)
         assert_e_step_matches_loop(rng, tf.values.tocsr(), k, max_trips)
+
+
+def model_at(gamma, lam, alpha=0.3, beta=0.2):
+    """A model holding only what lda_elbo reads."""
+    return LdaModel(doc_topic=None, topic_term=None, elbo_trace=[], alpha=alpha, beta=beta,
+                    converged=False, inner_updates=0, gamma_=gamma, lambda_=lam)
+
+
+def random_parameters(rng, tf, k):
+    gamma = 0.5 + rng.gamma(2.0, 5.0, (tf.shape[0], k))
+    lam = 0.5 + rng.gamma(2.0, 5.0, (k, tf.shape[1]))
+    return gamma, lam
 
 
 class TestBatchedMatchesLoop:
@@ -234,14 +273,7 @@ class TestBatchedMatchesLoop:
     def test_e_step_matches_loop_on_uneven_rows(self, rng, max_trips):
         # 1-entry rows next to rows over most of the vocabulary, so that
         # documents leave the active set at very different trips
-        n_terms = 80
-        lengths = [1, 70, 1, 3, 55, 1, 2, 80, 1, 12, 40, 1]
-        indices = np.concatenate(
-            [np.sort(rng.choice(n_terms, size=n, replace=False)) for n in lengths]
-        )
-        indptr = np.concatenate([[0], np.cumsum(lengths)])
-        data = rng.integers(1, 6, size=indptr[-1]).astype(np.float64)
-        mat = sp.csr_matrix((data, indices, indptr), shape=(len(lengths), n_terms))
+        mat = uneven_tf(rng).values
         for k in (2, 4):
             assert_e_step_matches_loop(rng, mat, k, max_trips)
 
@@ -259,21 +291,72 @@ class TestBatchedMatchesLoop:
     def test_bound_matches_loop(self, rng, k):
         for _ in range(4):
             tf = random_tf(rng, n_docs=12, n_terms=20)
-            mat = tf.values.tocsr()
-            gamma = 0.5 + rng.gamma(2.0, 5.0, (mat.shape[0], k))
-            lam = 0.5 + rng.gamma(2.0, 5.0, (k, mat.shape[1]))
+            gamma, lam = random_parameters(rng, tf, k)
             np.testing.assert_allclose(
-                _bound(mat, gamma, lam, 0.3, 0.2), loop_bound(mat, gamma, lam, 0.3, 0.2), rtol=1e-12
+                lda_elbo(model_at(gamma, lam), tf),
+                loop_bound(tf.values.tocsr(), gamma, lam, 0.3, 0.2), rtol=1e-12,
             )
+
+
+class TestFusedBound:
+    """The bound from the shifted, fused phinorm against the logsumexp loop oracle."""
+
+    @pytest.mark.parametrize("tiny", [1e-300, 5e-4])
+    def test_tiny_gamma_document(self, rng, tiny):
+        tf = random_tf(rng, n_docs=12, n_terms=20)
+        gamma, lam = random_parameters(rng, tf, 3)
+        gamma[4] = tiny * np.array([1.0, 0.8, 1.2])
+        # unshifted exp(E[log theta]) of that document underflows to 0
+        assert np.all(np.exp(dirichlet_expectation(gamma[4])) == 0)
+        np.testing.assert_allclose(
+            lda_elbo(model_at(gamma, lam), tf),
+            loop_bound(tf.values.tocsr(), gamma, lam, 0.3, 0.2), rtol=1e-12,
+        )
+
+    def test_peaked_lambda_row(self, rng):
+        tf = random_tf(rng, n_docs=12, n_terms=20)
+        gamma, lam = random_parameters(rng, tf, 3)
+        lam[1] = 1e-3
+        lam[1, 7] = 1e8
+        # exp(E[log beta]) of that topic underflows to 0 off its peak
+        assert np.sum(np.exp(dirichlet_expectation(lam[1])) > 0) == 1
+        np.testing.assert_allclose(
+            lda_elbo(model_at(gamma, lam), tf),
+            loop_bound(tf.values.tocsr(), gamma, lam, 0.3, 0.2), rtol=1e-12,
+        )
+
+    def test_every_trace_entry_matches_oracle(self, monkeypatch):
+        calls = []
+        real_bound = lda._bound
+
+        def recording_bound(mat, blocks, gamma, lam, alpha, beta):
+            out = real_bound(mat, blocks, gamma, lam, alpha, beta)
+            calls.append((gamma.T.copy(), lam.copy(), alpha, beta, out[0]))
+            return out
+
+        monkeypatch.setattr(lda, "_bound", recording_bound)
+        for seed in range(10):  # the first ten of the non-decreasing test's corpora
+            tf = random_min_df_tf(np.random.default_rng(seed))
+            mat = tf.values.tocsr()
+            for k in range(2, min(4, tf.shape[0]) + 1):
+                calls.clear()
+                model = fit_lda(tf, LdaConfig(k=k, seed=seed, max_iter=60))
+                # the first call is at the starting point and is not recorded
+                assert [c[-1] for c in calls[1:]] == model.elbo_trace
+                for gamma, lam, alpha, beta, bound in calls[1:]:
+                    np.testing.assert_allclose(
+                        bound, loop_bound(mat, gamma, lam, alpha, beta), rtol=1e-12
+                    )
+                assert lda_elbo(model, tf) == model.elbo_trace[-1]
 
 
 class TestInnerSchedule:
     def test_cap_doubles_up_to_the_maximum(self, rng, monkeypatch):
         caps = []
 
-        def recording_e_step(mat, gamma, expElogbeta, alpha, max_trips):
-            caps.append(max_trips)
-            return _e_step(mat, gamma, expElogbeta, alpha, max_trips)
+        def recording_e_step(*args):
+            caps.append(args[-1])  # max_trips
+            return _e_step(*args)
 
         monkeypatch.setattr(lda, "_e_step", recording_e_step)
         model = fit_lda(random_tf(rng), LdaConfig(k=2, max_iter=5, tol=0.0))
@@ -282,14 +365,84 @@ class TestInnerSchedule:
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_planted_bound_no_lower_than_flat_cap(self, tmp_path, monkeypatch, k):
-        path = tmp_path / "planted.jsonl"
-        write_planted_corpus(path, seed=PLANTED_SEED)
-        docs, _ = preprocess_corpus(load_corpus(path))
-        tf = tf_matrix(docs, build_vocabulary(docs))
+        tf = planted_tf(tmp_path)
         scheduled = fit_lda(tf, LdaConfig(k=k, seed=EXPERIMENT_SEED)).elbo_trace[-1]
         monkeypatch.setattr(lda, "_INNER_FIRST", lda._INNER_MAX_ITER)
         flat = fit_lda(tf, LdaConfig(k=k, seed=EXPERIMENT_SEED)).elbo_trace[-1]
         assert scheduled >= flat - 1e-9 * abs(flat)
+
+
+class TestRowBlocks:
+    def assert_blocks_change_nothing(self, monkeypatch, tf, config, entries_per_block):
+        indptr = tf.values.tocsr().indptr
+        assert len(lda._blocks(indptr, config.k)) == 1
+        whole = fit_lda(tf, config)
+        monkeypatch.setattr(lda, "_BLOCK_FLOATS", config.k * entries_per_block)
+        blocks = lda._blocks(indptr, config.k)
+        assert len(blocks) >= 3 and any(stop - start == 1 for start, stop, _, _ in blocks)
+        assert [b[0] for b in blocks[1:]] == [b[1] for b in blocks[:-1]]
+        assert (blocks[0][0], blocks[-1][1]) == (0, tf.shape[0])
+        for start, stop, lo, hi in blocks:
+            assert (lo, hi) == (indptr[start], indptr[stop])
+            assert hi - lo <= entries_per_block or stop - start == 1
+        blocked = fit_lda(tf, config)
+        assert np.array_equal(blocked.doc_topic, whole.doc_topic)
+        assert np.array_equal(blocked.topic_term, whole.topic_term)
+        assert blocked.elbo_trace == whole.elbo_trace
+        assert blocked.inner_updates == whole.inner_updates
+
+    @pytest.mark.parametrize("entries_per_block", ["longest - 1", 1])
+    def test_planted_fit_is_bitwise_the_one_block_fit(
+        self, tmp_path, monkeypatch, entries_per_block
+    ):
+        tf = planted_tf(tmp_path)
+        if entries_per_block == "longest - 1":  # that row is a block of its own
+            entries_per_block = int(np.diff(tf.values.tocsr().indptr).max()) - 1
+        config = LdaConfig(k=4, seed=EXPERIMENT_SEED)
+        self.assert_blocks_change_nothing(monkeypatch, tf, config, entries_per_block)
+
+    @pytest.mark.parametrize("entries_per_block", [79, 1])
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_random_fit_is_bitwise_the_one_block_fit(self, monkeypatch, k, entries_per_block):
+        config = LdaConfig(k=k, seed=3, max_iter=30)
+        tf = uneven_tf(np.random.default_rng(5))
+        self.assert_blocks_change_nothing(monkeypatch, tf, config, entries_per_block)
+
+    @pytest.mark.parametrize("k", [3, 12])
+    def test_a_lone_column_is_summed_as_in_a_wider_array(self, rng, k):
+        # numpy sums a lone column (K >= 8) and einsums one (K >= 3) in
+        # another order than the columns of a wider array
+        x = rng.random((k, 9)) * 10.0 ** rng.uniform(-3, 3, (k, 9))
+        lengths = np.array([1, 3, 2, 1, 4, 1, 2, 1, 5])
+        betad = rng.random((k, lengths.sum()))
+        wide_sums, wide_phinorm = lda._colsum(x), lda._phinorm(x, lengths, betad)
+        firsts = np.cumsum(lengths) - lengths
+        for d in range(9):
+            assert lda._colsum(x[:, [d]])[0] == wide_sums[d]
+            if lengths[d] == 1:
+                lone = lda._phinorm(x[:, [d]], lengths[[d]], betad[:, [firsts[d]]])
+                assert lone[0] == wide_phinorm[firsts[d]]
+
+    def test_traced_peak_is_bounded_by_block_and_factor_sizes(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        n_docs, n_terms, k = 400, 300, 5
+        lengths = rng.integers(20, 80, n_docs)
+        indices = np.concatenate([np.sort(rng.choice(n_terms, n, replace=False)) for n in lengths])
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        data = rng.integers(1, 6, len(indices)).astype(np.float64)
+        values = sp.csr_matrix((data, indices, indptr), shape=(n_docs, n_terms))
+        tf = DocTermMatrix(values, "tf", tuple(f"d{i:03d}" for i in range(n_docs)))
+        block = k * values.nnz // 20
+        monkeypatch.setattr(lda, "_BLOCK_FLOATS", block)
+        tracemalloc.start()
+        try:
+            fit_lda(tf, LdaConfig(k=k, seed=0, max_iter=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (nnz, K) float array alone is 3.5 of these units
+        unit = 8 * (block + (n_docs + n_terms) * k + values.nnz)
+        assert peak < 5 * unit
 
 
 class TestErrors:
@@ -334,6 +487,15 @@ class TestErrors:
     def test_bad_config(self):
         with pytest.raises(ValueError):
             LdaConfig(k=0)
+
+    @pytest.mark.parametrize("settings, name", [
+        ({"max_iter": 0}, "max_iter"), ({"max_iter": -1}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter"), ({"max_iter": True}, "max_iter"),
+        ({"tol": -1e-6}, "tol"), ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"),
+    ])
+    def test_bad_solver_setting_names_it(self, settings, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            LdaConfig(k=2, **settings)
 
 
 class TestPlantedSeparation:

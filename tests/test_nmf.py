@@ -195,6 +195,16 @@ class TestObjective:
 
 
 class TestFit:
+    @pytest.mark.parametrize("settings, name", [
+        ({"max_iter": 0}, "max_iter"), ({"max_iter": -1}, "max_iter"),
+        ({"max_iter": 2.5}, "max_iter"), ({"max_iter": True}, "max_iter"),
+        ({"tol": -1e-6}, "tol"), ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"),
+    ])
+    def test_bad_solver_setting_names_it(self, rng, settings, name):
+        x = np.abs(rng.standard_normal((6, 5)))
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fit_nmf(x, 2, **settings)
+
     def test_exact_factors_are_a_fixed_point(self, rng):
         w = np.abs(rng.standard_normal((6, 2))) + 0.1
         h = np.abs(rng.standard_normal((2, 5))) + 0.1

@@ -149,6 +149,16 @@ class TestFit:
         with pytest.raises(ValueError, match="empty tensor"):
             fit_ntf(np.zeros((0, 2, 3)), 1)
 
+    @pytest.mark.parametrize("settings, name", [
+        ({"max_sweeps": 0}, "max_sweeps"), ({"max_sweeps": -2}, "max_sweeps"),
+        ({"max_sweeps": 2.5}, "max_sweeps"), ({"max_sweeps": True}, "max_sweeps"),
+        ({"tol": -1e-6}, "tol"), ({"tol": np.nan}, "tol"), ({"tol": np.inf}, "tol"),
+    ])
+    def test_bad_solver_setting_names_it(self, rng, settings, name):
+        tensor = random_sparse_tensor(rng, (5, 3, 6), nnz=20)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fit_ntf(tensor, 2, **settings)
+
     def test_sparse_scaling_budget(self, rng):
         tensor = random_sparse_tensor(rng, (500, 50, 2000), nnz=10_000)
         start = time.perf_counter()
