@@ -373,8 +373,9 @@ def run_experiment(config: RunConfig) -> RunManifest:
     except ValueError as exc:
         raise CorpusError(str(exc)) from exc
 
-    in_vocab = [t for t in non_empty if any(tok in vocab for tok in t.tokens)]
-    dropped_oov = [t.doc_id for t in non_empty if not any(tok in vocab for tok in t.tokens)]
+    has_term = [any(tok in vocab for tok in t.tokens) for t in non_empty]
+    in_vocab = [t for t, ok in zip(non_empty, has_term) if ok]
+    dropped_oov = [t.doc_id for t, ok in zip(non_empty, has_term) if not ok]
     if dropped_oov:
         notices.append(
             f"{len(dropped_oov)} document(s) have no in-vocabulary token: {', '.join(dropped_oov)}"

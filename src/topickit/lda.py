@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln, psi
 
-from .nmf import check_solver_settings
+from .nmf import check_k, check_solver_settings
 from .vectorize import DocTermMatrix
 
 __all__ = ["LdaConfig", "LdaModel", "fit_lda", "lda_elbo"]
@@ -56,8 +56,7 @@ class LdaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        check_k(self.k)
         check_solver_settings("max_iter", self.max_iter, self.tol)
 
 
@@ -192,8 +191,7 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
     """
     mat = _validate_tf(tf)
     n_docs, n_terms = mat.shape
-    if config.k > n_docs:
-        raise ValueError(f"k={config.k} exceeds document count {n_docs}")
+    check_k(config.k, n_docs, f"document count {n_docs}")
     alpha = beta = 1.0 / config.k
     lam = np.random.default_rng(config.seed).gamma(100.0, 0.01, (config.k, n_terms))
     # Every topic gets an equal share of each document; gamma is (K, D) until the end.

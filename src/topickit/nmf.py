@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, svds
 
-from .vectorize import DocTermMatrix
+from .vectorize import DocTermMatrix, check_nonnegative
 
 __all__ = ["NmfModel", "nndsvd_init", "nmf_objective", "fit_nmf"]
 
@@ -68,12 +68,6 @@ def _sq_norm(mat) -> float:
     return float(np.sum(data * data))
 
 
-def _check_nonnegative(mat, what: str) -> None:
-    data = mat.data if sp.issparse(mat) else mat
-    if data.size and (not np.all(np.isfinite(data)) or np.min(data) < 0):
-        raise ValueError(f"{what} must be nonnegative and finite")
-
-
 def _check_factor_shapes(mat, doc_topic: np.ndarray, topic_term: np.ndarray) -> None:
     if doc_topic.shape[0] != mat.shape[0] or topic_term.shape[1] != mat.shape[1] \
             or doc_topic.shape[1] != topic_term.shape[0]:
@@ -93,10 +87,9 @@ def nndsvd_init(x, k: int) -> tuple[np.ndarray, np.ndarray]:
     floored at 1e-12 so later multiplicative updates can move them.
     """
     mat = _as_2d(x)
-    _check_nonnegative(mat, "NNDSVD input")
+    check_nonnegative(mat, "NNDSVD input")
     n_rows, n_cols = mat.shape
-    if not 1 <= k <= min(n_rows, n_cols):
-        raise ValueError(f"k={k} out of range for a {n_rows}x{n_cols} matrix")
+    check_k(k, min(n_rows, n_cols), f"the smaller side of a {n_rows}x{n_cols} matrix")
 
     try:
         if k < min(n_rows, n_cols):
@@ -166,6 +159,14 @@ def check_solver_settings(cap_name: str, cap, tol) -> None:
         raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
+def check_k(k, bound: float = math.inf, bound_name: str = "") -> None:
+    """Raise ValueError unless ``k`` is an integer (not a bool) from 1 to ``bound``."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= bound:
+        raise ValueError(f"k={k} out of range: {'below 1' if k < 1 else 'exceeds ' + bound_name}")
+
+
 def residual_norm_sq(norm_x_sq: float, inner: float, grams) -> float:
     """``||X - Xhat||^2 = ||X||^2 - 2 <X, Xhat> + ||Xhat||^2`` for a CP model
     (NMF is the two-way case), with ``||Xhat||^2`` the sum of the elementwise
@@ -192,16 +193,14 @@ def fit_nmf(
     """
     check_solver_settings("max_iter", max_iter, tol)
     mat = _as_2d(x)
-    _check_nonnegative(mat, "NMF input")
+    check_nonnegative(mat, "NMF input")
     if init is None:
         w, h = nndsvd_init(mat, k)
     else:
-        n_rows, n_cols = mat.shape
-        if not 1 <= k <= min(n_rows, n_cols):
-            raise ValueError(f"k={k} out of range for a {n_rows}x{n_cols} matrix")
+        check_k(k, min(mat.shape), f"the smaller side of a {mat.shape[0]}x{mat.shape[1]} matrix")
         w, h = np.array(init[0], dtype=np.float64), np.array(init[1], dtype=np.float64)
-        _check_nonnegative(w, "initial doc_topic")
-        _check_nonnegative(h, "initial topic_term")
+        check_nonnegative(w, "initial doc_topic")
+        check_nonnegative(h, "initial topic_term")
         _check_factor_shapes(mat, w, h)
 
     norm_x_sq = _sq_norm(mat)

@@ -6,7 +6,7 @@ alternating exact nonnegative column updates (HALS): per mode, each
 factor column is the closed-form clamped least-squares minimiser given
 everything else, so the error is non-increasing per sweep.
 
-The support is stored once per fit as a CSR matrix whose rows are the
+The tensor is stored once per corpus as a CSR matrix whose rows are the
 distinct (doc, company) pairs and whose columns are the terms, so every
 matricised-tensor-times-Khatri-Rao product (MTTKRP) is a sparse product.
 A sweep makes two of cost nnz * k: ``X @ W`` serves the doc and company
@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
-from .nmf import check_solver_settings, residual_norm_sq
-from .vectorize import DocCompanyTermTensor
+from .nmf import check_k, check_solver_settings, residual_norm_sq
+from .vectorize import DocCompanyTermTensor, _indicator, check_nonnegative
 
 __all__ = ["NtfModel", "fit_ntf", "cp_reconstruction_error"]
 
@@ -53,30 +52,15 @@ class NtfModel:
         return (self.doc_factor, self.company_factor, self.term_factor)
 
 
-def _pair_matrix(x):
-    """Accept a DocCompanyTermTensor or a small dense 3-d array.
-
-    Returns the shape, the raw values, the (pair, term) CSR matrix with
-    repeated coordinates summed, and each pair row's doc and company index.
-    """
+def _as_tensor(x) -> DocCompanyTermTensor:
+    """Accept a DocCompanyTermTensor or a small dense 3-d array."""
     if isinstance(x, DocCompanyTermTensor):
-        shape, (d, c, t) = x.shape, (x.doc_idx, x.company_idx, x.term_idx)
-        values = np.asarray(x.values, dtype=np.float64)
-    else:
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError(f"expected a 3-way tensor, got ndim={arr.ndim}")
-        shape, (d, c, t) = arr.shape, np.nonzero(arr)
-        values = arr[d, c, t]
-    keys, pair = np.unique(np.asarray(d, np.int64) * shape[1] + c, return_inverse=True)
-    mat = sp.csr_matrix((values, (pair, t)), shape=(len(keys), shape[2]))
-    return shape, values, mat, keys // shape[1], keys % shape[1]
-
-
-def _indicator(rows: np.ndarray, n_rows: int) -> sp.csr_matrix:
-    """0/1 matrix that sums pair rows into the given index's rows."""
-    return sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
-                         shape=(n_rows, len(rows)))
+        return x
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 3:
+        raise ValueError(f"expected a 3-way tensor, got ndim={arr.ndim}")
+    coords = np.nonzero(arr)
+    return DocCompanyTermTensor.from_coords(arr.shape, *coords, arr[coords])
 
 
 def _hals(a: np.ndarray, m: np.ndarray, gram_rest: np.ndarray) -> np.ndarray:
@@ -98,13 +82,12 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
     than zero, so a collapsed column can regrow in a later sweep.
     """
     check_solver_settings("max_sweeps", max_sweeps, tol)
-    shape, values, mat, pair_doc, pair_comp = _pair_matrix(x)
+    x = _as_tensor(x)
+    shape, mat, pair_doc, pair_comp = x.shape, x.pairs, x.pair_doc, x.pair_company
     if any(d == 0 for d in shape):
         raise ValueError(f"empty tensor: shape {shape}")
-    if not 1 <= k <= min(shape):
-        raise ValueError(f"k={k} out of range for tensor shape {shape}")
-    if values.size and (not np.all(np.isfinite(values)) or np.min(values) < 0):
-        raise ValueError("tensor values must be nonnegative and finite")
+    check_k(k, min(shape), f"the smallest side of tensor shape {shape}")
+    check_nonnegative(mat, "tensor values")
 
     rng = np.random.default_rng(seed)
     factors = []
@@ -148,11 +131,11 @@ def cp_reconstruction_error(x, model: NtfModel) -> float:
     inner product comes from the pair matrix's term-mode MTTKRP and the
     model norm from the factor Gramians, so no dense tensor is formed.
     """
-    shape, _, mat, pair_doc, pair_comp = _pair_matrix(x)
+    x = _as_tensor(x)
     a, b, c = model.factors
-    if (len(a), len(b), len(c)) != tuple(shape):
+    if (len(a), len(b), len(c)) != tuple(x.shape):
         raise ValueError(f"factor dims {(len(a), len(b), len(c))} do not match "
-                         f"tensor shape {tuple(shape)}")
-    m_term = mat.T @ (a.take(pair_doc, axis=0) * b.take(pair_comp, axis=0))
-    inner = float(np.sum(m_term * c))
-    return residual_norm_sq(float(mat.data @ mat.data), inner, [f.T @ f for f in model.factors])
+                         f"tensor shape {x.shape}")
+    m_term = x.pairs.T @ (a.take(x.pair_doc, axis=0) * b.take(x.pair_company, axis=0))
+    norm_x_sq, inner = float(x.pairs.data @ x.pairs.data), float(np.sum(m_term * c))
+    return residual_norm_sq(norm_x_sq, inner, [f.T @ f for f in model.factors])

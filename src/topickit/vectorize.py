@@ -65,31 +65,54 @@ class DocTermMatrix:
 
 @dataclass(frozen=True)
 class DocCompanyTermTensor:
-    """Sparse coordinate-format document x company x term count tensor.
+    """Sparse document x company x term tensor, stored as the matrix NTF fits.
 
-    Each document contributes nonzeros only in its own company slice, so
-    nnz equals the TF matrix nnz.  Coordinates are kept sorted by
-    (doc, company, term).  A dense (D*C*V) array is never allocated.
+    Row p of ``pairs`` holds the term counts of document ``pair_doc[p]`` in
+    company ``pair_company[p]``; the pairs are distinct and sorted by
+    (doc, company), and ``pairs`` is canonical CSR.  ``build_tensor`` puts
+    each document in one company, so its pairs are the TF rows.
     """
 
     shape: tuple[int, int, int]  # (D, C, V)
-    doc_idx: np.ndarray
-    company_idx: np.ndarray
-    term_idx: np.ndarray
-    values: np.ndarray  # float64, integral counts
+    pairs: sp.csr_matrix  # (P, V), float64
+    pair_doc: np.ndarray  # int64, (P,)
+    pair_company: np.ndarray  # int64, (P,)
     company_ids: tuple[str, ...]
+
+    @classmethod
+    def from_coords(cls, shape, doc_idx, company_idx, term_idx, values,
+                    company_ids=()) -> "DocCompanyTermTensor":
+        """Build from coordinates in any order, summing repeats; raise ValueError for a
+        coordinate outside ``shape``, naming its axis, or a negative or non-finite value."""
+        d, c, t = (np.asarray(i, dtype=np.int64) for i in (doc_idx, company_idx, term_idx))
+        for axis, (name, idx, n) in enumerate(zip(("doc", "company", "term"), (d, c, t), shape)):
+            if idx.size and (idx.min() < 0 or idx.max() >= n):
+                raise ValueError(f"{name} index out of range for axis {axis} of size {n}")
+        values = np.asarray(values, dtype=np.float64)
+        check_nonnegative(values, "tensor values")  # before repeats are summed
+        keys, pair = np.unique(d * shape[1] + c, return_inverse=True)
+        pairs = sp.csr_matrix((values, (pair, t)), shape=(len(keys), shape[2]))
+        return cls(tuple(shape), pairs, keys // shape[1], keys % shape[1], tuple(company_ids))
 
     @property
     def nnz(self) -> int:
-        return len(self.values)
+        return self.pairs.nnz
 
     def sum_over_companies(self) -> sp.csr_matrix:
         """Marginalise the company axis back to a (D, V) count matrix."""
-        d, c, v = self.shape
-        mat = sp.coo_matrix(
-            (self.values, (self.doc_idx, self.term_idx)), shape=(d, v)
-        )
-        return mat.tocsr()
+        return _indicator(self.pair_doc, self.shape[0]) @ self.pairs
+
+
+def _indicator(rows: np.ndarray, n_rows: int) -> sp.csr_matrix:
+    """0/1 matrix that sums pair rows into the given index's rows."""
+    return sp.csr_matrix((np.ones(len(rows)), (rows, np.arange(len(rows)))),
+                         shape=(n_rows, len(rows)))
+
+
+def check_nonnegative(mat, what: str) -> None:
+    data = mat.data if sp.issparse(mat) else mat
+    if data.size and (not np.all(np.isfinite(data)) or np.min(data) < 0):
+        raise ValueError(f"{what} must be nonnegative and finite")
 
 
 def build_vocabulary(docs: Iterable[TokenizedDocument], min_df: int = 1) -> Vocabulary:
@@ -175,15 +198,10 @@ def build_tensor(
     company_ids = tuple(sorted({company_map[d.doc_id] for d in docs}))
     position = {c: i for i, c in enumerate(company_ids)}
 
-    # CSR rows come out in (doc, term) order and a doc lies in one company,
-    # so the coordinates are already sorted by (doc, company, term).
-    tf = tf_matrix(docs, vocab).values.tocoo()
-    doc_company = np.array([position[company_map[d.doc_id]] for d in docs], dtype=np.int64)
     return DocCompanyTermTensor(
         shape=(len(docs), len(company_ids), len(vocab)),
-        doc_idx=tf.row.astype(np.int64),
-        company_idx=doc_company[tf.row],
-        term_idx=tf.col.astype(np.int64),
-        values=tf.data.astype(np.float64),
+        pairs=tf_matrix(docs, vocab).values,
+        pair_doc=np.arange(len(docs), dtype=np.int64),
+        pair_company=np.array([position[company_map[d.doc_id]] for d in docs], dtype=np.int64),
         company_ids=company_ids,
     )

@@ -157,13 +157,9 @@ class TestCriterion6Ntf:
             coords.add((int(local.integers(500)), int(local.integers(50)),
                         int(local.integers(2000))))
         coords = sorted(coords)
-        tensor = DocCompanyTermTensor(
-            shape=(500, 50, 2000),
-            doc_idx=np.array([c[0] for c in coords], dtype=np.int64),
-            company_idx=np.array([c[1] for c in coords], dtype=np.int64),
-            term_idx=np.array([c[2] for c in coords], dtype=np.int64),
-            values=local.uniform(0.5, 3.0, size=len(coords)),
-            company_ids=(),
+        tensor = DocCompanyTermTensor.from_coords(
+            (500, 50, 2000), *np.array(coords, dtype=np.int64).T,
+            local.uniform(0.5, 3.0, size=len(coords)),
         )
         start = time.perf_counter()
         budget_model = fit_ntf(tensor, 5, max_sweeps=200, seed=0)

@@ -7,8 +7,10 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from topickit import nmf
 from topickit.corpus import load_corpus, preprocess_corpus
+from topickit.lda import LdaConfig, fit_lda
 from topickit.nmf import fit_nmf, nmf_objective, nndsvd_init
-from topickit.vectorize import build_vocabulary, tfidf_matrix
+from topickit.ntf import fit_ntf
+from topickit.vectorize import build_vocabulary, tf_matrix, tfidf_matrix
 
 from conftest import random_tokenized
 from planted import PLANTED_SEED, write_planted_corpus
@@ -70,6 +72,21 @@ class NoDenseCsr(sp.csr_matrix):
 
     def todense(self, *args, **kwargs):
         raise AssertionError("sparse input was densified")
+
+
+@pytest.mark.parametrize("k", [2.5, True, 0])
+@pytest.mark.parametrize("solver", ["lda", "nmf", "ntf"])
+def test_bad_k_names_it(rng, solver, k):
+    # every solver shares one k rule, checked before any numpy or scipy call
+    docs = random_tokenized(rng, n_docs=6)
+    fits = {
+        "lda": lambda: fit_lda(tf_matrix(docs, build_vocabulary(docs)), LdaConfig(k=k)),
+        "nmf": lambda: fit_nmf(np.abs(rng.standard_normal((6, 5))), k),
+        "ntf": lambda: fit_ntf(np.abs(rng.standard_normal((4, 3, 5))), k),
+    }
+    want = "^k=0 out of range" if k == 0 else "^k must be an integer"
+    with pytest.raises(ValueError, match=want):
+        fits[solver]()
 
 
 class TestNndsvdInit:

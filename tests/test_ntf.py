@@ -3,8 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from topickit.ntf import _FLOOR, NtfModel, _indicator, _pair_matrix, cp_reconstruction_error, fit_ntf
-from topickit.vectorize import DocCompanyTermTensor, build_tensor, build_vocabulary
+from topickit.ntf import _FLOOR, NtfModel, _as_tensor, _indicator, cp_reconstruction_error, fit_ntf
+from topickit.vectorize import DocCompanyTermTensor, build_tensor, build_vocabulary, tf_matrix
 
 from conftest import random_tokenized
 
@@ -21,15 +21,13 @@ def random_sparse_tensor(rng, shape, nnz):
     coords = sorted(coords)
     d, c, t = (np.array([x[i] for x in coords], dtype=np.int64) for i in range(3))
     values = rng.uniform(0.5, 3.0, size=len(coords))
-    return DocCompanyTermTensor(
-        shape=shape, doc_idx=d, company_idx=c, term_idx=t, values=values,
-        company_ids=(),
-    )
+    return DocCompanyTermTensor.from_coords(shape, d, c, t, values)
 
 
 def to_dense(tensor):
     dense = np.zeros(tensor.shape)
-    np.add.at(dense, (tensor.doc_idx, tensor.company_idx, tensor.term_idx), tensor.values)
+    coo = tensor.pairs.tocoo()
+    np.add.at(dense, (tensor.pair_doc[coo.row], tensor.pair_company[coo.row], coo.col), coo.data)
     return dense
 
 
@@ -44,7 +42,8 @@ def einsum_mttkrps(dense, a, b, c):
 
 def pair_mttkrps(x, a, b, c):
     """The per-mode MTTKRPs as fit_ntf forms them from the pair matrix."""
-    shape, _, mat, pair_doc, pair_comp = _pair_matrix(x)
+    x = _as_tensor(x)
+    shape, mat, pair_doc, pair_comp = x.shape, x.pairs, x.pair_doc, x.pair_company
     xc = mat @ c
     a_pairs, b_pairs = a.take(pair_doc, axis=0), b.take(pair_comp, axis=0)
     return (
@@ -145,6 +144,33 @@ class TestFit:
             with pytest.raises(ValueError, match="out of range"):
                 fit_ntf(tensor, bad)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("past_end", [True, False])
+    def test_out_of_range_coordinate_names_axis(self, axis, past_end):
+        shape = (3, 2, 4)
+        coords = [np.array([0, 1]), np.array([1, 0]), np.array([2, 3])]
+        # company 2 of 2 at doc 0 must not alias to (doc 1, company 0)
+        coords[axis][0] = shape[axis] if past_end else -1
+        name = ("doc", "company", "term")[axis]
+        with pytest.raises(ValueError, match=f"^{name} index out of range for axis {axis}"):
+            DocCompanyTermTensor.from_coords(shape, *coords, [1.0, 2.0])
+
+    @pytest.mark.parametrize("value", [-0.5, np.nan, np.inf])
+    def test_bad_value_rejected_dense(self, rng, value):
+        dense = rng.uniform(0.5, 2.0, (3, 2, 4))
+        dense[1, 0, 2] = value
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            fit_ntf(dense, 2)
+
+    @pytest.mark.parametrize("values", [
+        [1.0, -0.5, 2.0], [1.0, np.nan, 2.0], [1.0, np.inf, 2.0],
+        [1.0, -1.0, 3.0],  # (1, 0, 2) twice sums to 2.0, yet -1.0 is a bad value
+    ])
+    def test_bad_value_rejected_coords(self, values):
+        d, c, t = [0, 1, 1], [1, 0, 0], [3, 2, 2]
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            fit_ntf(DocCompanyTermTensor.from_coords((3, 2, 4), d, c, t, values), 2)
+
     def test_empty_tensor_rejected(self):
         with pytest.raises(ValueError, match="empty tensor"):
             fit_ntf(np.zeros((0, 2, 3)), 1)
@@ -173,8 +199,7 @@ class TestFit:
         c = np.array([0, 0, 1, 1, 0, 0])
         t = np.array([1, 2, 0, 3, 3, 2])
         values = np.array([0.5, 1.0, 1.5, 2.5, 0.7, 2.0])
-        tensor = DocCompanyTermTensor(shape=(4, 2, 4), doc_idx=d, company_idx=c,
-                                      term_idx=t, values=values, company_ids=())
+        tensor = DocCompanyTermTensor.from_coords((4, 2, 4), d, c, t, values)
         dense = to_dense(tensor)
         assert dense[1, 0, 2] == 3.0
         coo_fit = fit_ntf(tensor, 2, max_sweeps=30, seed=4)
@@ -218,9 +243,8 @@ class TestMttkrp:
         vocab = build_vocabulary(docs)
         company_map = {d.doc_id: f"c{int(rng.integers(0, 3))}" for d in docs}
         tensor = build_tensor(docs, vocab, company_map)
-        _, _, mat, pair_doc, _ = _pair_matrix(tensor)
-        assert np.array_equal(pair_doc, np.arange(len(docs)))
-        assert mat.nnz == tensor.nnz
+        assert np.array_equal(tensor.pair_doc, np.arange(len(docs)))
+        assert (tensor.pairs != tf_matrix(docs, vocab).values).nnz == 0
         self.check(tensor, to_dense(tensor), rng)
 
     def test_empty_slices_give_zero_rows(self, rng):

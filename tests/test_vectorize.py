@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from topickit.vectorize import (
+    DocCompanyTermTensor,
     build_tensor,
     build_vocabulary,
     tf_matrix,
@@ -157,9 +158,9 @@ class TestTensor:
         assert tensor.shape == (2, 2, 2)
         acme = tensor.company_ids.index("acme")
         zinco = tensor.company_ids.index("zinco")
-        for d, c, t, v in zip(tensor.doc_idx, tensor.company_idx,
-                              tensor.term_idx, tensor.values):
-            assert c == (acme if d == 0 else zinco)
+        assert tensor.pair_doc.tolist() == [0, 1]
+        assert tensor.pair_company.tolist() == [acme, zinco]
+        assert tensor.pairs.toarray().tolist() == [[2.0, 0.0], [0.0, 1.0]]
 
     def test_marginalisation_reproduces_tf_exactly(self, rng):
         for _ in range(20):
@@ -179,9 +180,27 @@ class TestTensor:
             vocab = build_vocabulary(docs)
             companies = {d.doc_id: f"c{rng.integers(0, 5)}" for d in docs}
             tensor = build_tensor(docs, vocab, companies)
-            coords = list(zip(tensor.doc_idx.tolist(), tensor.company_idx.tolist(),
-                              tensor.term_idx.tolist()))
-            assert coords == sorted(set(coords))
+            pairs = list(zip(tensor.pair_doc.tolist(), tensor.pair_company.tolist()))
+            assert pairs == sorted(set(pairs))
+            assert tensor.pairs.has_canonical_format
+
+    def test_from_coords_sums_repeats_in_any_order(self, rng):
+        for _ in range(20):
+            shape = tuple(int(n) for n in rng.integers(1, 6, size=3))
+            n = int(rng.integers(0, 30))
+            coords = [rng.integers(0, dim, size=n) for dim in shape]
+            values = rng.uniform(0.5, 3.0, size=n)
+            dense = np.zeros(shape)
+            np.add.at(dense, tuple(coords), values)
+            order = rng.permutation(n)
+            tensor = DocCompanyTermTensor.from_coords(
+                shape, *(i[order] for i in coords), values[order])
+            pairs = list(zip(tensor.pair_doc.tolist(), tensor.pair_company.tolist()))
+            assert pairs == sorted(set(pairs))
+            assert tensor.pairs.has_canonical_format
+            got = np.zeros(shape)
+            got[tensor.pair_doc, tensor.pair_company] = tensor.pairs.toarray()
+            np.testing.assert_allclose(got, dense, rtol=1e-12)
 
     def test_unknown_company_rejected(self):
         docs = [toks("d1", ["coal"])]
