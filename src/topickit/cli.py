@@ -37,7 +37,7 @@ from .export import write_csv, write_factor_csv, write_json
 from .lda import LdaConfig, fit_lda
 from .nmf import fit_nmf
 from .ntf import fit_ntf
-from .vectorize import build_tensor, build_vocabulary, tf_matrix, tfidf_matrix
+from .vectorize import _tensor, _tfidf, build_vocabulary, tf_matrix
 
 __all__ = ["ConfigError", "RunConfig", "RunManifest", "run_experiment", "select_best", "main"]
 
@@ -384,9 +384,9 @@ def run_experiment(config: RunConfig) -> RunManifest:
         raise CorpusError("no document has an in-vocabulary token")
 
     company_map = {d.doc_id: d.company_id for d in docs}
-    tf = tf_matrix(in_vocab, vocab)
-    tfidf = tfidf_matrix(in_vocab, vocab)
-    tensor = build_tensor(in_vocab, vocab, company_map)
+    tf = tf_matrix(in_vocab, vocab)  # counted once; TF-IDF and the tensor derive from it
+    tfidf = _tfidf(tf, vocab)
+    tensor = _tensor(tf, company_map)
     bundle = _CorpusBundle(
         tf=tf,
         tfidf=tfidf,

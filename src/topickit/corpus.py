@@ -108,17 +108,19 @@ _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 def tokenize(text: str) -> list[str]:
-    """Split text into lowercase alphabetic tokens of length >= 3.
+    """Split text into lowercase tokens of length >= 3 with no digit in them.
 
-    Tokens are maximal runs of word characters; any run containing a digit
+    Tokens are maximal runs of Unicode letters and numeric characters; any
+    run containing a character that ``str.isdigit`` accepts ("3", "²", "٣")
     is discarded whole (so "2nd" contributes nothing rather than "nd"),
-    punctuation and other special characters never appear in the output,
-    and surviving tokens are lowercased before the length filter.
+    while numeric characters that are not digits ("½", "Ⅻ") stay in the
+    token.  Punctuation and underscores never appear in the output, and
+    surviving tokens are lowercased before the length filter.
     """
     out = []
-    for match in _WORD_RE.finditer(text):
-        token = match.group()
-        if any(ch.isdigit() for ch in token):
+    for token in _WORD_RE.findall(text):
+        # No digit is alphabetic, so only a token with a non-letter is scanned.
+        if not token.isalpha() and any(ch.isdigit() for ch in token):
             continue
         token = token.lower()
         if len(token) >= 3:
@@ -139,20 +141,21 @@ def preprocess(doc: RawDocument, stops: StopwordList | None = None) -> Tokenized
     """
     if stops is None:
         stops = StopwordList()
-    return _preprocess(doc, stops, _StemMemo())
+    return _preprocess(doc, _StemMemo.fromkeys(stops.base | stops.extra))
 
 
 class _StemMemo(dict):
-    """Token -> stem, filled on first lookup.  ``stem`` is pure, so a memo
-    changes no output; it lives for one call, not the process."""
+    """Token -> stem, filled on first lookup; ``fromkeys(stop-words)`` maps each
+    stop-word to None, so one lookup filters and stems.  ``stem`` is pure, so a
+    memo changes no output; it lives for one call, not the process."""
 
     def __missing__(self, token: str) -> str:
         self[token] = stemmed = stem(token)
         return stemmed
 
 
-def _preprocess(doc: RawDocument, stops: StopwordList, stems: _StemMemo) -> TokenizedDocument:
-    tokens = tuple(stems[t] for t in remove_stopwords(tokenize(doc.text), stops))
+def _preprocess(doc: RawDocument, stems: _StemMemo) -> TokenizedDocument:
+    tokens = tuple(s for s in map(stems.__getitem__, tokenize(doc.text)) if s is not None)
     return TokenizedDocument(doc_id=doc.doc_id, tokens=tokens)
 
 
@@ -168,8 +171,8 @@ def preprocess_corpus(
         stops = StopwordList()
     # Most tokens repeat (about 17k distinct in 166k at 1000 report-like
     # documents), so each distinct token is stemmed once per call.
-    stems = _StemMemo()
-    tokenized = [_preprocess(d, stops, stems) for d in docs]
+    stems = _StemMemo.fromkeys(stops.base | stops.extra)
+    tokenized = [_preprocess(d, stems) for d in docs]
     empty_ids = [t.doc_id for t in tokenized if t.is_empty]
     if empty_ids:
         logger.warning(

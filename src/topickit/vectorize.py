@@ -7,6 +7,10 @@ From a list of tokenized documents this module builds
 * a sparse document x company x term tensor whose company-axis sum
   reproduces the TF matrix exactly.
 
+TF-IDF and the tensor derive from one TF count (``tfidf_matrix`` and
+``build_tensor`` count it first); the tensor's pair rows are that TF
+matrix, shared, not copied, so no caller may write into either.
+
 Everything here is deterministic: vocabulary order is total frequency
 descending with lexicographic tie-break, and all sparse structures keep
 their coordinates in canonical sorted order, so rebuilding from the same
@@ -148,24 +152,15 @@ def tf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMatrix
     """Raw term counts: entry (d, t) is the frequency of term t in doc d.
 
     Tokens not in the vocabulary are skipped, so with min_df=1 each row
-    sums to the document's token count.  Each row lists its terms in index order.
+    sums to the document's token count.  The matrix is canonical CSR:
+    each row lists its terms once, in index order.
     """
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    t2i = vocab.term_to_index
-    for doc in docs:
-        counts = Counter(t2i[t] for t in doc.tokens if t in t2i)
-        for idx in sorted(counts):
-            indices.append(idx)
-            data.append(float(counts[idx]))
-        indptr.append(len(indices))
-    mat = sp.csr_matrix(
-        (np.array(data, dtype=np.float64),
-         np.array(indices, dtype=np.int64),
-         np.array(indptr, dtype=np.int64)),
-        shape=(len(docs), len(vocab)),
-    )
+    get = vocab.term_to_index.get
+    ids = [[i for t in d.tokens if (i := get(t)) is not None] for d in docs]
+    indptr = np.cumsum([0] + [len(row) for row in ids])
+    cols = np.fromiter((i for row in ids for i in row), np.int64, count=indptr[-1])
+    mat = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(docs), len(vocab)))
+    mat.sum_duplicates()  # sorts each row's term ids and sums the repeats
     return DocTermMatrix(mat, "tf", tuple(d.doc_id for d in docs))
 
 
@@ -176,7 +171,10 @@ def tfidf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMat
     counts, then each row is scaled to unit Euclidean norm (all-zero rows
     stay zero).
     """
-    tf = tf_matrix(docs, vocab)
+    return _tfidf(tf_matrix(docs, vocab), vocab)
+
+
+def _tfidf(tf: DocTermMatrix, vocab: Vocabulary) -> DocTermMatrix:
     idf = np.log((1.0 + tf.shape[0]) / (1.0 + vocab.doc_freq.astype(np.float64))) + 1.0
     mat = tf.values.multiply(idf[np.newaxis, :]).tocsr()
     norms = sp.linalg.norm(mat, axis=1)
@@ -191,17 +189,22 @@ def build_tensor(
     company_map: Mapping[str, str],
 ) -> DocCompanyTermTensor:
     """Stack each document's TF row into its company's slice of a 3-way tensor."""
-    missing = [d.doc_id for d in docs if d.doc_id not in company_map]
+    return _tensor(tf_matrix(docs, vocab), company_map)
+
+
+def _tensor(tf: DocTermMatrix, company_map: Mapping[str, str]) -> DocCompanyTermTensor:
+    """The tensor whose pair rows are ``tf``'s rows: ``pairs`` is ``tf.values`` itself."""
+    missing = [d for d in tf.doc_ids if d not in company_map]
     if missing:
         raise ValueError(f"document(s) without a company: {', '.join(missing)}")
 
-    company_ids = tuple(sorted({company_map[d.doc_id] for d in docs}))
+    company_ids = tuple(sorted({company_map[d] for d in tf.doc_ids}))
     position = {c: i for i, c in enumerate(company_ids)}
 
     return DocCompanyTermTensor(
-        shape=(len(docs), len(company_ids), len(vocab)),
-        pairs=tf_matrix(docs, vocab).values,
-        pair_doc=np.arange(len(docs), dtype=np.int64),
-        pair_company=np.array([position[company_map[d.doc_id]] for d in docs], dtype=np.int64),
+        shape=(tf.shape[0], len(company_ids), tf.shape[1]),
+        pairs=tf.values,
+        pair_doc=np.arange(tf.shape[0], dtype=np.int64),
+        pair_company=np.array([position[company_map[d]] for d in tf.doc_ids], dtype=np.int64),
         company_ids=company_ids,
     )

@@ -5,8 +5,9 @@ import logging
 import numpy as np
 import pytest
 
-from topickit import cli
+from topickit import cli, vectorize
 from topickit.cli import ConfigError, RunConfig, main, run_experiment, select_best
+from topickit.corpus import StopwordList, load_corpus, preprocess_corpus
 
 
 def write_mini_corpus(path, n_per_topic=12):
@@ -43,6 +44,67 @@ def write_config(tmp_path, name="run.json", **settings):
     path = tmp_path / name
     path.write_text(json.dumps(settings))
     return path
+
+
+def csr_bytes(mat):
+    return tuple(getattr(mat, name).tobytes() for name in ("data", "indices", "indptr"))
+
+
+class TestCountOnce:
+    """One sweep counts TF once; TF-IDF and the tensor are derived from it."""
+
+    def run_capturing_bundle(self, tmp_path, monkeypatch):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        with open(corpus, "a", encoding="utf-8") as fh:  # one empty, one all-OOV document
+            fh.write(json.dumps({"doc_id": "stops", "company_id": "c9", "text": "the of and"}) + "\n")
+            fh.write(json.dumps({"doc_id": "rare", "company_id": "c9", "text": "zircon"}) + "\n")
+        config = RunConfig(corpus_path=str(corpus), methods=("lda", "nmf", "ntf"),
+                           k_values=(2, 3), seed=0, min_df=2, extra_stopwords=("Pit",),
+                           out_dir=str(tmp_path / "out"))
+        calls, seen = [], {}
+        real_tf, real_run_cell = cli.tf_matrix, cli._run_cell
+
+        def counting_tf(*args, **kwargs):
+            calls.append(args)
+            return real_tf(*args, **kwargs)
+
+        def capturing_run_cell(method, k, bundle, *args):
+            seen.setdefault("bundle", bundle)
+            seen.setdefault("tf_before", csr_bytes(bundle.tf.values))
+            return real_run_cell(method, k, bundle, *args)
+
+        monkeypatch.setattr(cli, "tf_matrix", counting_tf)
+        monkeypatch.setattr(vectorize, "tf_matrix", counting_tf)
+        monkeypatch.setattr(cli, "_run_cell", capturing_run_cell)
+        manifest = run_experiment(config)
+        assert [c["status"] for c in manifest.cells] == ["ok"] * 6
+        return config, calls, seen
+
+    def test_tf_counted_once_per_run(self, tmp_path, monkeypatch):
+        _, calls, _ = self.run_capturing_bundle(tmp_path, monkeypatch)
+        assert len(calls) == 1
+
+    def test_document_wrappers_equal_the_bundle(self, tmp_path, monkeypatch):
+        config, _, seen = self.run_capturing_bundle(tmp_path, monkeypatch)
+        bundle = seen["bundle"]
+        raw = load_corpus(config.corpus_path)
+        tokenized, _ = preprocess_corpus(raw, StopwordList.with_extra(config.extra_stopwords))
+        by_id = {t.doc_id: t for t in tokenized}
+        docs = [by_id[doc_id] for doc_id in bundle.tf.doc_ids]
+        assert "stops" not in bundle.tf.doc_ids and "rare" not in bundle.tf.doc_ids
+        company_map = {d.doc_id: d.company_id for d in raw}
+        assert csr_bytes(vectorize.tfidf_matrix(docs, bundle.vocab).values) \
+            == csr_bytes(bundle.tfidf.values)
+        tensor = vectorize.build_tensor(docs, bundle.vocab, company_map)
+        assert csr_bytes(tensor.pairs) == csr_bytes(bundle.tensor.pairs)
+        assert tensor.pair_company.tobytes() == bundle.tensor.pair_company.tobytes()
+        assert tensor.company_ids == bundle.tensor.company_ids
+
+    def test_fits_and_reports_leave_shared_tf_unchanged(self, tmp_path, monkeypatch):
+        _, _, seen = self.run_capturing_bundle(tmp_path, monkeypatch)
+        bundle = seen["bundle"]
+        assert bundle.tensor.pairs is bundle.tf.values
+        assert csr_bytes(bundle.tf.values) == seen["tf_before"]
 
 
 class TestSelectBest:

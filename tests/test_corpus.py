@@ -15,8 +15,28 @@ from topickit.corpus import (
     preprocess,
     preprocess_corpus,
     remove_stopwords,
+    stem,
     tokenize,
 )
+
+
+def tokenize_oracle(text):
+    """The tokeniser with the digit scan run over every token's characters."""
+    out = []
+    for match in re.finditer(r"[^\W_]+", text):
+        token = match.group()
+        if any(ch.isdigit() for ch in token):
+            continue
+        token = token.lower()
+        if len(token) >= 3:
+            out.append(token)
+    return out
+
+
+# Letters, digits that are not ASCII ("²", "٣", "３"), numerics that are not
+# digits ("½", "Ⅻ"), "İ" (lowercases to two characters), a combining dot,
+# a CJK letter and separators.
+TOKENIZER_ALPHABET = list("abcdefghijklmnopqrstuvwxyzX_ -²½Ⅻ٣３İß三") + ["\u0307"]
 
 
 class TestTokenize:
@@ -38,6 +58,21 @@ class TestTokenize:
 
     def test_underscores_split(self):
         assert tokenize("coal_seam_gas") == ["coal", "seam", "gas"]
+
+    @pytest.mark.parametrize("text, expected", [
+        ("x²yz", []),  # "²" is a digit: the token goes whole
+        ("abc½ Ⅻab", ["abc½", "ⅻab"]),  # numeric but not digits: kept
+        ("İsx İs", ["i̇sx", "i̇s"]),  # length counted after lowercasing
+        ("ab_cd ab-cd x٣yz ß三", []),  # short fragments and a digit token go
+        ("abc３def ab٣ ok½", ["ok½"]),
+    ])
+    def test_unicode_digits_and_numerics(self, text, expected):
+        assert tokenize(text) == expected == tokenize_oracle(text)
+
+    def test_fast_path_matches_full_digit_scan(self, rng):
+        for _ in range(2000):
+            text = "".join(rng.choice(TOKENIZER_ALPHABET, size=int(rng.integers(0, 40))))
+            assert tokenize(text) == tokenize_oracle(text), repr(text)
 
     @pytest.mark.parametrize("text", [
         "Exploration; of the basin-area (2020): 45km drilled!",
@@ -131,6 +166,29 @@ class TestPreprocess:
         tokenized, _ = preprocess_corpus(docs)
         assert [t.tokens for t in tokenized] == [preprocess(d).tokens for d in docs]
         assert tokenized[1].tokens[:2] == ("geolog", "drill")
+
+    def test_fused_memo_matches_composed_stages(self, rng):
+        # One memo lookup drops stop-words and stems; it must equal the public
+        # stages composed.  "Drill" is an extra stop-word given in upper case,
+        # so "drilling" (stem "drill") and "thes" (stem "the") must keep their
+        # stems, and "reporting" survives the filter that drops "report".
+        stops = StopwordList.with_extra(["Drill", "SEAM"])
+        pool = ["the", "The", "drill", "DRILL", "drilling", "seam", "Seams", "thes",
+                "report", "reporting", "Reports", "coal", "geology", "and", "of",
+                "whos", "ab", "2nd", "basin", "project", "mapping"]
+        docs = []
+        for d in range(40):
+            words = rng.choice(pool, size=int(rng.integers(1, 25)))
+            docs.append(RawDocument(f"r{d}", "c1", " ".join(words) + "."))
+        expected = [tuple(stem(t) for t in remove_stopwords(tokenize(doc.text), stops))
+                    for doc in docs]
+        tokenized, _ = preprocess_corpus(docs, stops)
+        assert [t.tokens for t in tokenized] == expected
+        assert [preprocess(doc, stops).tokens for doc in docs] == expected
+        kept = {t for doc in expected for t in doc}
+        assert {"drill", "the", "report", "seam"} <= kept  # all from inflections
+        assert preprocess(RawDocument("r", "c", "Drill drilling thes the"), stops).tokens \
+            == ("drill", "the")
 
 
 class TestRawDocument:

@@ -115,6 +115,27 @@ class TestTfMatrix:
         assert np.all(tf.values.data >= 0)
         assert np.all(tf.values.data == np.floor(tf.values.data))
 
+    def test_matches_counter_oracle_and_is_canonical(self, rng):
+        # Repeated and out-of-order tokens, tokens outside the vocabulary and
+        # a row with none inside it.
+        for _ in range(50):
+            docs, min_df = random_corpus(rng)
+            docs.append(toks("oov", ["zz1", "zz2", "zz1"]))
+            docs.insert(int(rng.integers(0, len(docs))), toks("none", []))
+            vocab = build_vocabulary(docs, min_df=min_df)
+            tf = tf_matrix(docs, vocab).values
+            assert tf.has_canonical_format and tf.data.dtype == np.float64
+            oracle = np.zeros((len(docs), len(vocab)))
+            for row, doc in enumerate(docs):
+                for term, count in Counter(doc.tokens).items():
+                    if term in vocab:
+                        oracle[row, vocab.term_to_index[term]] = count
+            assert np.array_equal(tf.toarray(), oracle)
+            for row in range(len(docs)):
+                cols = tf.indices[tf.indptr[row]:tf.indptr[row + 1]]
+                assert np.all(np.diff(cols) > 0)
+            assert tf.nnz == np.count_nonzero(oracle)
+
 
 class TestTfidfMatrix:
     def test_single_document_collapses_to_normalised_tf(self):
