@@ -14,6 +14,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,16 +40,17 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def _cell(value) -> str:
+    return "" if value is None else value if isinstance(value, str) else sig12(value)
+
+
 def write_csv(path: Path, header, rows) -> None:
     """Write a CSV: strings as given (quoted where they hold a comma, quote or
     line break), numbers with ``sig12``, ``None`` as an empty cell."""
-    def cell(value) -> str:
-        return "" if value is None else value if isinstance(value, str) else sig12(value)
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(map(cell, row) for row in rows)
+    writer.writerows(map(_cell, row) for row in rows)
     atomic_write_text(path, buf.getvalue())
 
 
@@ -59,12 +61,20 @@ def write_factor_csv(
     matrix: np.ndarray,
     column_names: list[str] | None = None,
 ) -> None:
-    """Write a factor matrix with a leading id column."""
+    """Write a numeric factor matrix with a leading id column, as ``write_csv``
+    would, with each row's numbers formatted by one ``%`` of sig12's format."""
     matrix = np.asarray(matrix)
+    k = matrix.shape[1]
     if column_names is None:
-        column_names = [f"topic_{j}" for j in range(matrix.shape[1])]
-    rows = ([rid, *row] for rid, row in zip(row_ids, matrix.tolist()))
-    write_csv(path, [id_column, *column_names], rows)
+        column_names = [f"topic_{j}" for j in range(k)]
+    # csv.writer quotes just the ids (padded as in a full row); CPython's calls write once a row.
+    lines, values, pad = [], matrix.tolist(), ("",) if k else ()
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow([id_column, *column_names])
+    writer.writerows((_cell(rid), *pad) for rid, _ in zip(row_ids, values))
+    numbers = ",%.12g" * k + "\n"
+    atomic_write_text(path, lines[0] + "".join(
+        line[: -1 - len(pad)] + numbers % tuple(row) for line, row in zip(lines[1:], values)))
 
 
 def _round_floats(obj):

@@ -8,6 +8,7 @@ length <= 2 untouched.  Output agrees with the widely circulated
 reference vocabulary/output word lists (see tests/fixtures).
 
 The stemmer is a pure function of its input: no state survives a call.
+Steps 2-4 look up their rules by the word's last letter (tables built once).
 """
 
 from __future__ import annotations
@@ -26,20 +27,15 @@ def _is_consonant(word: str, i: int) -> bool:
 
 
 def _measure(stem: str) -> int:
-    """Number of vowel-consonant sequences: [C](VC)^m[V]."""
-    m = 0
-    i = 0
-    n = len(stem)
-    while i < n and _is_consonant(stem, i):
-        i += 1
-    while i < n:
-        while i < n and not _is_consonant(stem, i):
-            i += 1
-        if i == n:
-            break
-        m += 1
-        while i < n and _is_consonant(stem, i):
-            i += 1
+    """Number of vowel-consonant sequences: [C](VC)^m[V], counted in one pass."""
+    m, vowel = 0, None  # None before the first letter: "y" is a consonant there
+    for ch in stem:
+        if ch in _VOWELS or (ch == "y" and vowel is False):
+            vowel = True
+        else:
+            if vowel:
+                m += 1
+            vowel = False
     return m
 
 
@@ -112,6 +108,20 @@ _STEP4_SUFFIXES = (
 )
 
 
+def _by_last_letter(rules) -> dict:
+    """The rules grouped by their suffix's last letter, in table order: only that
+    group can match a word, so its first match is the table's first match."""
+    table = {}
+    for rule in rules:
+        table.setdefault(rule[0][-1], []).append(rule)
+    return table
+
+
+_STEP2 = _by_last_letter(_STEP2_RULES)
+_STEP3 = _by_last_letter(_STEP3_RULES)
+_STEP4 = _by_last_letter((suffix, "") for suffix in _STEP4_SUFFIXES)
+
+
 def _step1ab(word: str) -> str:
     if word.endswith("s"):
         if word.endswith("sses"):
@@ -146,18 +156,8 @@ def _step1c(word: str) -> str:
     return word
 
 
-def _step2(word: str) -> str:
-    for suffix, repl in _STEP2_RULES:
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if _measure(stem) > 0:
-                return stem + repl
-            return word
-    return word
-
-
-def _step3(word: str) -> str:
-    for suffix, repl in _STEP3_RULES:
+def _replace_suffix(word: str, table: dict) -> str:
+    for suffix, repl in table.get(word[-1:], ()):
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             if _measure(stem) > 0:
@@ -167,7 +167,7 @@ def _step3(word: str) -> str:
 
 
 def _step4(word: str) -> str:
-    for suffix in _STEP4_SUFFIXES:
+    for suffix, _ in _STEP4.get(word[-1:], ()):
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             if suffix == "ion" and not stem.endswith(("s", "t")):
@@ -198,8 +198,8 @@ def stem(token: str) -> str:
         return token
     word = _step1ab(token)
     word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
+    word = _replace_suffix(word, _STEP2)
+    word = _replace_suffix(word, _STEP3)
     word = _step4(word)
     word = _step5(word)
     return word

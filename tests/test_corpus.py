@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import re
+import string
 
 import numpy as np
 import pytest
@@ -74,6 +75,31 @@ class TestTokenize:
             text = "".join(rng.choice(TOKENIZER_ALPHABET, size=int(rng.integers(0, 40))))
             assert tokenize(text) == tokenize_oracle(text), repr(text)
 
+    def test_ascii_path_matches_oracle(self, rng):
+        # ASCII text takes the one-regex path: both cases, digits, "_", "-",
+        # punctuation and line breaks, letters drawn most often.
+        alphabet = list(string.ascii_letters + string.digits + "_- .,;'\"\n\r\t")
+        weights = np.array([10.0] * 52 + [2.0] * 10 + [3.0] * 11)
+        for _ in range(2000):
+            text = "".join(rng.choice(alphabet, size=int(rng.integers(0, 60)),
+                                      p=weights / weights.sum()))
+            assert text.isascii()
+            assert tokenize(text) == tokenize_oracle(text), repr(text)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("ab1cde", []),  # one run with a digit: no "cde" fragment
+        ("AB_cde", ["cde"]),
+        ("Coal\nseam\r\nGAS-well x1y", ["coal", "seam", "gas", "well"]),
+    ])
+    def test_ascii_path_pinned(self, text, expected):
+        assert tokenize(text) == expected == tokenize_oracle(text)
+
+    def test_one_non_ascii_character_takes_the_full_path(self):
+        text = "Coal café, 2nd drill_hole ab1cde AB_cde naïve3 Ⅻab"
+        assert not text.isascii()
+        assert tokenize(text) == tokenize_oracle(text) \
+            == ["coal", "café", "drill", "hole", "cde", "ⅻab"]
+
     @pytest.mark.parametrize("text", [
         "Exploration; of the basin-area (2020): 45km drilled!",
         "weird\ttabs\nand\r\nnewlines",
@@ -113,6 +139,15 @@ class TestStopwords:
     def test_with_extra(self):
         stops = StopwordList.with_extra(["Coal", "seam"])
         assert "coal" in stops and "seam" in stops and "project" in stops
+
+    def test_terms_given_directly_are_lowercased(self):
+        stops = StopwordList(base=frozenset({"The", "of"}), extra=frozenset({"Coal"}))
+        assert stops.base == {"the", "of"} and stops.extra == {"coal"}
+        doc = RawDocument("r", "c", "Coal seam drill")
+        only_coal = StopwordList(extra=frozenset({"Coal"}))
+        assert preprocess(doc, only_coal).tokens == ("seam", "drill")
+        assert preprocess_corpus([doc], only_coal)[0][0].tokens == ("seam", "drill")
+        assert "coal" in only_coal and "the" in only_coal
 
     def test_commutes_with_length_filter(self, rng):
         # dropping short tokens and dropping stop-words commute

@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from topickit.export import write_csv, write_factor_csv
+from topickit.export import sig12, write_csv, write_factor_csv
 
 
 def test_write_csv_formats_each_cell(tmp_path):
@@ -31,3 +32,24 @@ def test_write_factor_csv(tmp_path):
                      column_names=["coal", "gold"])
     assert (tmp_path / "g.csv").read_text() == "topic,coal,gold\n0,2,0\n"
 
+
+FACTOR_VALUES = [0.0, -0.0, 1e-300, 5e-324, 1e16, 123456789012.345, np.inf]
+
+
+@pytest.mark.parametrize("row_ids, matrix", [
+    (["plain", "com,ma", 'quo"te', "line\nbreak", "cr\rid", "", " x"],
+     np.array(FACTOR_VALUES * 2).reshape(2, 7).T),
+    (range(7), np.array([FACTOR_VALUES, FACTOR_VALUES[::-1], [1 / 3] * 7]).T),
+    (["one", "col,umn"], np.array([[5e-324], [123456789012.345]])),
+    (["a", 'b"'], np.array([FACTOR_VALUES, FACTOR_VALUES[::-1]], dtype=np.float32)),
+    (["a", "", "b"], np.zeros((3, 0))),
+])
+def test_write_factor_csv_matches_write_csv(tmp_path, row_ids, matrix):
+    names = [f"c{j}" for j in range(matrix.shape[1])]
+    write_factor_csv(tmp_path / "f.csv", "id,col", row_ids, matrix, column_names=names)
+    rows = [[rid, *map(sig12, row)] for rid, row in zip(row_ids, matrix)]
+    write_csv(tmp_path / "w.csv", ["id,col", *names], rows)
+    assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+    write_factor_csv(tmp_path / "d.csv", "id", row_ids, matrix)
+    write_csv(tmp_path / "v.csv", ["id", *(f"topic_{j}" for j in range(len(names)))], rows)
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "v.csv").read_bytes()
