@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, field
@@ -31,22 +30,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusError, RawDocument, StopwordList, load_corpus, preprocess_corpus
+from .corpus import LOADERS, CorpusError, RawDocument, StopwordList, load_corpus, preprocess_corpus
 from .evaluate import build_report
 from .export import write_csv, write_factor_csv, write_json
 from .lda import LdaConfig, fit_lda
 from .nmf import fit_nmf
 from .ntf import fit_ntf
-from .vectorize import _tensor, _tfidf, build_vocabulary, tf_matrix
+from .vectorize import _tensor, _tfidf, build_vocabulary, check_k, check_setting, tf_matrix
 
 __all__ = ["ConfigError", "RunConfig", "RunManifest", "run_experiment", "select_best", "main"]
 
 logger = logging.getLogger(__name__)
 
-KNOWN_METHODS = ("lda", "nmf", "ntf")
 # The solver settings a config may override, by method, named as the fit
 # functions name them; everything else keeps the solver's own default.
 SOLVER_KEYS = {"lda": ("max_iter", "tol"), "nmf": ("max_iter", "tol"), "ntf": ("max_sweeps", "tol")}
+KNOWN_METHODS = tuple(SOLVER_KEYS)
 FILTER_KEYS = ("year", "category", "report_type")
 
 
@@ -63,19 +62,6 @@ def _tool_version() -> str:
 
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_setting(name: str, value, integer: bool, low: int) -> None:
-    """Raise a ConfigError naming the setting unless it is an integer (or finite number) >= low."""
-    kind = "an integer" if integer else "a finite number"
-    if not (_is_int(value) if integer else (_is_real(value) and math.isfinite(value))):
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
-    if value < low:
-        raise ConfigError(f"{name} must be >= {low}, got {value!r}")
 
 
 def _comma_list(value) -> tuple:
@@ -143,20 +129,12 @@ class RunConfig:
             raise ConfigError(f"unknown method(s): {', '.join(unknown)}")
         if not self.k_values:
             raise ConfigError("at least one K value is required")
-        if not all(_is_int(k) and k >= 1 for k in self.k_values):
-            raise ConfigError(f"every K must be an integer >= 1, got {self.k_values!r}")
-        self.k_values = tuple(int(k) for k in self.k_values)
-        # A repeat would run and write the same cell twice.
-        for name, values in (("methods", self.methods), ("k_values", self.k_values)):
-            if len(set(values)) < len(values):
-                raise ConfigError(f"{name} repeats a value: {values!r}")
         for name in ("corpus_path", "corpus_format", "out_dir"):
             if not isinstance(getattr(self, name), str):
                 raise ConfigError(f"{name} must be a string")
-        for name, low in (("seed", 0), ("min_df", 1), ("n_keywords", 1)):
-            _check_setting(name, getattr(self, name), True, low)
-        _check_setting("select_margin", self.select_margin, False, 0)
-
+        if self.corpus_format not in LOADERS:
+            raise ConfigError(f"corpus_format must be one of {', '.join(LOADERS)}, "
+                              f"got {self.corpus_format!r}")
         if not isinstance(self.filters, dict):
             raise ConfigError("filters must be an object")
         unknown = [key for key in self.filters if key not in FILTER_KEYS]
@@ -165,17 +143,29 @@ class RunConfig:
         if "year" in self.filters:
             self.filters = {**self.filters, "year": _year_range(self.filters["year"])}
 
-        for method, keys in SOLVER_KEYS.items():
-            overrides = getattr(self, method)
-            if not isinstance(overrides, dict):
-                raise ConfigError(f"{method} must be an object of solver settings")
-            for key, value in overrides.items():
-                if key not in keys:
-                    raise ConfigError(
-                        f"unknown solver setting {method}.{key}; {method} takes {', '.join(keys)}"
-                    )
-                cap = key != "tol"  # an iteration cap is an integer >= 1, tol a number >= 0
-                _check_setting(f"{method}.{key}", value, cap, 1 if cap else 0)
+        try:  # the library's own checks and wording, each failure one ConfigError
+            for k in self.k_values:
+                check_k(k)
+            for name, low in (("seed", 0), ("min_df", 1), ("n_keywords", 1)):
+                check_setting(name, getattr(self, name), low)
+            check_setting("select_margin", self.select_margin, 0, integer=False)
+            for method, keys in SOLVER_KEYS.items():
+                overrides = getattr(self, method)
+                if not isinstance(overrides, dict):
+                    raise ConfigError(f"{method} must be an object of solver settings")
+                for key, value in overrides.items():
+                    if key not in keys:
+                        raise ConfigError(f"unknown solver setting {method}.{key}; "
+                                          f"{method} takes {', '.join(keys)}")
+                    cap = key != "tol"  # an iteration cap is an integer >= 1, tol a number >= 0
+                    check_setting(f"{method}.{key}", value, 1 if cap else 0, integer=cap)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        self.k_values = tuple(int(k) for k in self.k_values)
+        # A repeat would run and write the same cell twice.
+        for name, values in (("methods", self.methods), ("k_values", self.k_values)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats a value: {values!r}")
 
 
 @dataclass
@@ -483,7 +473,7 @@ def _build_parser() -> _Parser:
                         help="JSON config file; flags override its values")
     parser.add_argument("--corpus", dest="corpus_path",
                         help="corpus path (JSONL file or text directory)")
-    parser.add_argument("--format", dest="corpus_format", choices=("jsonl", "text-dir"),
+    parser.add_argument("--format", dest="corpus_format", choices=tuple(LOADERS),
                         help="corpus format")
     parser.add_argument("--methods", dest="methods", help="comma list from lda,nmf,ntf")
     parser.add_argument("--k", dest="k_values",
@@ -542,9 +532,6 @@ def main(argv=None) -> int:
     except CorpusError as exc:
         print(f"corpus error: {exc}")
         return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}")
-        return 1
 
     failures = manifest.failures
     for cell in failures:

@@ -94,9 +94,9 @@ class StopwordList:
     base: frozenset[str] = field(default_factory=load_base_stopwords)
     extra: frozenset[str] = EXTRA_STOPWORDS
 
-    def __post_init__(self):  # tokens are lowercase, so "Coal" would never match
+    def __post_init__(self):
         for name in ("base", "extra"):
-            object.__setattr__(self, name, frozenset(t.lower() for t in getattr(self, name)))
+            object.__setattr__(self, name, _word_set(name, getattr(self, name)))
 
     def __contains__(self, token: str) -> bool:
         return token in self.base or token in self.extra
@@ -104,7 +104,14 @@ class StopwordList:
     @classmethod
     def with_extra(cls, extra_terms) -> "StopwordList":
         """Default base list with additional extras appended (lowercased)."""
-        return cls(extra=EXTRA_STOPWORDS | frozenset(extra_terms))
+        return cls(extra=EXTRA_STOPWORDS | _word_set("extra_terms", extra_terms))
+
+
+def _word_set(name: str, words) -> frozenset[str]:
+    """The words lowercased, as tokens are; a bare string would stand for its letters."""
+    if isinstance(words, str):
+        raise TypeError(f"{name} must be a collection of words, not the string {words!r}")
+    return frozenset(w.lower() for w in words)
 
 
 # Maximal runs of Unicode letters or digits; underscores and punctuation split.
@@ -207,12 +214,9 @@ def load_corpus(path: str | Path, format: str = "jsonl") -> list[RawDocument]:
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus path does not exist: {path}")
-    if format == "jsonl":
-        docs = _load_jsonl(path)
-    elif format == "text-dir":
-        docs = _load_text_dir(path)
-    else:
+    if format not in LOADERS:
         raise CorpusError(f"unknown corpus format: {format!r}")
+    docs = LOADERS[format](path)
     if not docs:
         warnings.warn(f"corpus at {path} is empty", stacklevel=2)
     return docs
@@ -324,3 +328,6 @@ def _load_text_dir(path: Path) -> list[RawDocument]:
                   for key in ("company_id", "year", "report_type", "category")}
         docs.append(_document({**record, "doc_id": doc_id, "text": _read_utf8(txt)}, where))
     return docs
+
+
+LOADERS = {"jsonl": _load_jsonl, "text-dir": _load_text_dir}  # read by load_corpus and RunConfig

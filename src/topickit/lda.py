@@ -30,8 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln, psi
 
-from .nmf import check_k, check_solver_settings
-from .vectorize import DocTermMatrix
+from .vectorize import DocTermMatrix, check_k, check_nonnegative, check_setting
 
 __all__ = ["LdaConfig", "LdaModel", "fit_lda", "lda_elbo"]
 
@@ -57,7 +56,8 @@ class LdaConfig:
 
     def __post_init__(self):
         check_k(self.k)
-        check_solver_settings("max_iter", self.max_iter, self.tol)
+        check_setting("max_iter", self.max_iter, 1)
+        check_setting("tol", self.tol, 0, integer=False)
 
 
 @dataclass
@@ -78,10 +78,7 @@ def _validate_tf(tf: DocTermMatrix) -> sp.csr_matrix:
     if tf.weighting != "tf":
         raise ValueError(f"LDA requires raw term counts, got weighting {tf.weighting!r}")
     mat = tf.values.tocsr()
-    bad = ~np.isfinite(mat.data) | (mat.data < 0)
-    if np.any(bad):
-        row = np.searchsorted(mat.indptr, np.argmax(bad), side="right") - 1
-        raise ValueError(f"TF counts must be nonnegative and finite: doc {tf.doc_ids[row]!r}")
+    check_nonnegative(mat, "TF counts", tf.doc_ids)
     if mat.nnz and np.any(mat.data != np.floor(mat.data)):
         raise ValueError("TF matrix must contain integer counts")
     row_sums = np.asarray(mat.sum(axis=1)).ravel()

@@ -24,8 +24,6 @@ the input is O((D + V) K).
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from functools import reduce
 
@@ -33,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, svds
 
-from .vectorize import DocTermMatrix, check_nonnegative
+from .vectorize import DocTermMatrix, check_k, check_nonnegative, check_setting
 
 __all__ = ["NmfModel", "nndsvd_init", "nmf_objective", "fit_nmf"]
 
@@ -87,7 +85,7 @@ def nndsvd_init(x, k: int) -> tuple[np.ndarray, np.ndarray]:
     floored at 1e-12 so later multiplicative updates can move them.
     """
     mat = _as_2d(x)
-    check_nonnegative(mat, "NNDSVD input")
+    check_nonnegative(mat, "NMF input")
     n_rows, n_cols = mat.shape
     check_k(k, min(n_rows, n_cols), f"the smaller side of a {n_rows}x{n_cols} matrix")
 
@@ -149,24 +147,6 @@ def _half_residual(norm_x_sq: float, wtx, wtw, h, hht) -> float:
     return 0.5 * residual_norm_sq(norm_x_sq, float(np.sum(wtx * h)), (wtw, hht))
 
 
-def check_solver_settings(cap_name: str, cap, tol) -> None:
-    """Raise ValueError naming the setting unless ``cap`` is an integer >= 1
-    and ``tol`` a finite number >= 0."""
-    if isinstance(cap, bool) or not isinstance(cap, numbers.Integral) or cap < 1:
-        raise ValueError(f"{cap_name} must be an integer >= 1, got {cap!r}")
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-    if not (real and math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
-
-
-def check_k(k, bound: float = math.inf, bound_name: str = "") -> None:
-    """Raise ValueError unless ``k`` is an integer (not a bool) from 1 to ``bound``."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= bound:
-        raise ValueError(f"k={k} out of range: {'below 1' if k < 1 else 'exceeds ' + bound_name}")
-
-
 def residual_norm_sq(norm_x_sq: float, inner: float, grams) -> float:
     """``||X - Xhat||^2 = ||X||^2 - 2 <X, Xhat> + ||Xhat||^2`` for a CP model
     (NMF is the two-way case), with ``||Xhat||^2`` the sum of the elementwise
@@ -191,12 +171,13 @@ def fit_nmf(
     depend on ``seed``; an explicit ``init=(doc_topic0, topic_term0)``
     overrides it.
     """
-    check_solver_settings("max_iter", max_iter, tol)
+    check_setting("max_iter", max_iter, 1)
+    check_setting("tol", tol, 0, integer=False)
     mat = _as_2d(x)
-    check_nonnegative(mat, "NMF input")
     if init is None:
-        w, h = nndsvd_init(mat, k)
+        w, h = nndsvd_init(mat, k)  # checks the input and k
     else:
+        check_nonnegative(mat, "NMF input")
         check_k(k, min(mat.shape), f"the smaller side of a {mat.shape[0]}x{mat.shape[1]} matrix")
         w, h = np.array(init[0], dtype=np.float64), np.array(init[1], dtype=np.float64)
         check_nonnegative(w, "initial doc_topic")

@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nmf import check_k, check_solver_settings, residual_norm_sq
-from .vectorize import DocCompanyTermTensor, _indicator, check_nonnegative
+from .nmf import residual_norm_sq
+from .vectorize import DocCompanyTermTensor, _indicator, check_k, check_nonnegative, check_setting
 
 __all__ = ["NtfModel", "fit_ntf", "cp_reconstruction_error"]
 
@@ -81,7 +81,8 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
     non-increasing.  Entries are clamped at a small positive floor rather
     than zero, so a collapsed column can regrow in a later sweep.
     """
-    check_solver_settings("max_sweeps", max_sweeps, tol)
+    check_setting("max_sweeps", max_sweeps, 1)
+    check_setting("tol", tol, 0, integer=False)
     x = _as_tensor(x)
     shape, mat, pair_doc, pair_comp = x.shape, x.pairs, x.pair_doc, x.pair_company
     if any(d == 0 for d in shape):

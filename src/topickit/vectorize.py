@@ -11,6 +11,8 @@ TF-IDF and the tensor derive from one TF count (``tfidf_matrix`` and
 ``build_tensor`` count it first); the tensor's pair rows are that TF
 matrix, shared, not copied, so no caller may write into either.
 
+It also holds the input checks that the run configuration and the solvers share.
+
 Everything here is deterministic: vocabulary order is total frequency
 descending with lexicographic tie-break, and all sparse structures keep
 their coordinates in canonical sorted order, so rebuilding from the same
@@ -19,6 +21,8 @@ corpus is byte-identical.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -113,10 +117,32 @@ def _indicator(rows: np.ndarray, n_rows: int) -> sp.csr_matrix:
                          shape=(n_rows, len(rows)))
 
 
-def check_nonnegative(mat, what: str) -> None:
-    data = mat.data if sp.issparse(mat) else mat
-    if data.size and (not np.all(np.isfinite(data)) or np.min(data) < 0):
-        raise ValueError(f"{what} must be nonnegative and finite")
+def check_setting(name: str, value, low, integer: bool = True) -> None:
+    """Raise ValueError unless ``value`` is an integer, or a finite number, >= ``low``."""
+    kind = "an integer" if integer else "a finite number"
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) if integer else
+                                       isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+
+
+def check_k(k, bound: float = math.inf, bound_name: str = "") -> None:
+    """Raise ValueError unless ``k`` is an integer from 1 to ``bound``."""
+    check_setting("k", k, 1)
+    if k > bound:
+        raise ValueError(f"k={k} out of range: exceeds {bound_name}")
+
+
+def check_nonnegative(mat, what: str, row_ids=None) -> None:
+    """Raise ValueError unless every stored entry is finite and >= 0, naming the
+    first bad row (an entry's index in a 1-d array), or its id in ``row_ids``."""
+    data = mat.data if sp.issparse(mat) else np.asarray(mat)
+    bad = np.flatnonzero(~np.isfinite(data) | (data < 0))
+    if bad.size:
+        row = mat.tocoo().row[bad[0]] if sp.issparse(mat) else bad[0] // data[0].size
+        where = f"row {row}" if row_ids is None else f"doc {row_ids[row]!r}"
+        raise ValueError(f"{what} must be nonnegative and finite: {where}")
 
 
 def build_vocabulary(docs: Iterable[TokenizedDocument], min_df: int = 1) -> Vocabulary:
@@ -126,8 +152,7 @@ def build_vocabulary(docs: Iterable[TokenizedDocument], min_df: int = 1) -> Voca
     order is total corpus frequency descending, ties broken by the term
     string, which keeps downstream keyword rankings reproducible.
     """
-    if min_df < 1:
-        raise ValueError(f"min_df must be >= 1, got {min_df}")
+    check_setting("min_df", min_df, 1)
     docs = list(docs)
     if not docs or all(d.is_empty for d in docs):
         raise ValueError("cannot build a vocabulary from an empty corpus")

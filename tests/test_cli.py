@@ -8,6 +8,9 @@ import pytest
 from topickit import cli, vectorize
 from topickit.cli import ConfigError, RunConfig, main, run_experiment, select_best
 from topickit.corpus import StopwordList, load_corpus, preprocess_corpus
+from topickit.lda import LdaConfig
+from topickit.nmf import fit_nmf
+from topickit.ntf import fit_ntf
 
 
 def write_mini_corpus(path, n_per_topic=12):
@@ -427,6 +430,17 @@ class TestMainExitCodes:
         assert "config error: select_margin must be" in capsys.readouterr().out
         assert fitted == [] and not (tmp_path / "out").exists()
 
+    def test_unknown_corpus_format_in_file_is_1_before_any_cell(self, tmp_path, capsys,
+                                                                monkeypatch):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=2)
+        cfg = write_config(tmp_path, corpus_path=str(corpus), corpus_format="csv")
+        fitted = []
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().out == (
+            "config error: corpus_format must be one of jsonl, text-dir, got 'csv'\n")
+        assert fitted == [] and not (tmp_path / "out").exists()
+
     def test_partial_failure_is_3(self, tmp_path, capsys):
         corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
         code = main(["--corpus", str(corpus), "--methods", "ntf", "--k", "2,4",
@@ -592,3 +606,30 @@ class TestRunConfigValidation:
     def test_bad_year_filter_rejected(self, year):
         with pytest.raises(ConfigError, match="year filter"):
             RunConfig(corpus_path="x", filters={"year": year})
+
+    def test_bad_k_uses_the_library_wording(self):
+        for bad in (0, 2.5):
+            with pytest.raises(ConfigError) as config_error:
+                RunConfig(corpus_path="x", k_values=(2, bad))
+            with pytest.raises(ValueError) as library_error:
+                LdaConfig(k=bad)
+            assert str(config_error.value) == str(library_error.value)
+
+
+_LIBRARY_FITS = {
+    "lda": lambda settings: LdaConfig(k=2, **settings),
+    "nmf": lambda settings: fit_nmf(np.ones((3, 3)), 2, **settings),
+    "ntf": lambda settings: fit_ntf(np.ones((2, 2, 2)), 2, **settings),
+}
+
+
+@pytest.mark.parametrize("method, key, value", [
+    ("lda", "max_iter", 0), ("nmf", "max_iter", 0), ("ntf", "max_sweeps", 2.5),
+    ("lda", "tol", float("nan")), ("nmf", "tol", float("nan")), ("ntf", "tol", float("nan")),
+])
+def test_config_and_library_give_the_same_text(method, key, value):
+    with pytest.raises(ConfigError) as config_error:
+        RunConfig(corpus_path="x", **{method: {key: value}})
+    with pytest.raises(ValueError) as library_error:
+        _LIBRARY_FITS[method]({key: value})
+    assert str(config_error.value) == f"{method}.{library_error.value}"

@@ -149,6 +149,16 @@ class TestStopwords:
         assert preprocess_corpus([doc], only_coal)[0][0].tokens == ("seam", "drill")
         assert "coal" in only_coal and "the" in only_coal
 
+    @pytest.mark.parametrize("build, named", [
+        (lambda: StopwordList.with_extra("coal"), "extra_terms"),
+        (lambda: StopwordList(extra="coal"), "extra"),
+        (lambda: StopwordList(base="the"), "base"),
+    ])
+    def test_bare_string_is_rejected_naming_the_argument(self, build, named):
+        # a string is a collection of its letters: "coal" would add c, o, a and l
+        with pytest.raises(TypeError, match=f"^{named} must be a collection of words"):
+            build()
+
     def test_commutes_with_length_filter(self, rng):
         # dropping short tokens and dropping stop-words commute
         stops = StopwordList()

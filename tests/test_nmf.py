@@ -84,7 +84,7 @@ def test_bad_k_names_it(rng, solver, k):
         "nmf": lambda: fit_nmf(np.abs(rng.standard_normal((6, 5))), k),
         "ntf": lambda: fit_ntf(np.abs(rng.standard_normal((4, 3, 5))), k),
     }
-    want = "^k=0 out of range" if k == 0 else "^k must be an integer"
+    want = "^k must be >= 1, got 0$" if k == 0 else "^k must be an integer"
     with pytest.raises(ValueError, match=want):
         fits[solver]()
 
@@ -119,8 +119,8 @@ class TestNndsvdInit:
 
     def test_k_out_of_range(self, rng):
         x = np.abs(rng.standard_normal((4, 6)))
-        for bad in (0, 5):
-            with pytest.raises(ValueError, match="out of range"):
+        for bad, want in ((0, "^k must be >= 1, got 0$"), (5, "^k=5 out of range: exceeds")):
+            with pytest.raises(ValueError, match=want):
                 nndsvd_init(x, bad)
 
     def test_negative_input_rejected(self):
@@ -306,6 +306,14 @@ class TestFit:
             x = np.abs(local.standard_normal((50, 40)))
             fit_nmf(x, 5, max_iter=60)
         assert time.perf_counter() - start < 30.0
+
+    @pytest.mark.parametrize("init", [False, True])
+    def test_negative_sparse_entry_names_its_row(self, rng, init):
+        dense = np.abs(rng.standard_normal((5, 6))) + 0.1
+        dense[2, 4], dense[4, 0] = -0.5, -1.0
+        start = (np.ones((5, 2)), np.ones((2, 6))) if init else None
+        with pytest.raises(ValueError, match=r"^NMF input must be nonnegative and finite: row 2$"):
+            fit_nmf(sp.csr_matrix(dense), 2, init=start)
 
     def test_nan_input_rejected(self):
         x = np.ones((4, 4))

@@ -140,8 +140,8 @@ class TestFit:
 
     def test_k_out_of_range(self, rng):
         tensor = random_sparse_tensor(rng, (5, 3, 6), nnz=20)
-        for bad in (0, 4):
-            with pytest.raises(ValueError, match="out of range"):
+        for bad, want in ((0, "^k must be >= 1, got 0$"), (4, "^k=4 out of range: exceeds")):
+            with pytest.raises(ValueError, match=want):
                 fit_ntf(tensor, bad)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])

@@ -1,13 +1,16 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from topickit.vectorize import (
     DocCompanyTermTensor,
     build_tensor,
     build_vocabulary,
+    check_nonnegative,
     tf_matrix,
     tfidf_matrix,
 )
@@ -70,6 +73,19 @@ class TestVocabulary:
             assert vocab.index_to_term[idx] == term
         assert np.all(vocab.doc_freq >= 1)
 
+    @pytest.mark.parametrize("min_df, want", [
+        (True, "an integer, got True"), (1.5, "an integer, got 1.5"),
+        (2.0, "an integer, got 2.0"), (0, ">= 1, got 0"),
+    ])
+    def test_bad_min_df_names_it(self, min_df, want):
+        docs = [toks("d1", ["coal", "seam"]), toks("d2", ["coal"])]
+        with pytest.raises(ValueError, match=f"^min_df must be {re.escape(want)}$"):
+            build_vocabulary(docs, min_df=min_df)
+
+    def test_numpy_integer_min_df_is_accepted(self):
+        docs = [toks("d1", ["coal", "seam"]), toks("d2", ["coal"])]
+        assert build_vocabulary(docs, min_df=np.int64(2)).index_to_term == ("coal",)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty corpus"):
             build_vocabulary([])
@@ -82,6 +98,34 @@ class TestVocabulary:
         b = build_vocabulary(docs)
         assert a.index_to_term == b.index_to_term
         assert np.array_equal(a.doc_freq, b.doc_freq)
+
+
+class TestCheckNonnegative:
+    """The first bad entry in storage order names its row, whatever the layout."""
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("layout", ["dense", "csr", "csc", "coo"])
+    def test_names_the_first_bad_row(self, layout, bad):
+        dense = np.ones((5, 4))
+        dense[3, 1] = bad
+        mat = dense if layout == "dense" else getattr(sp, f"{layout}_matrix")(dense)
+        with pytest.raises(ValueError, match=r"^X must be nonnegative and finite: row 3$"):
+            check_nonnegative(mat, "X")
+        ids = ("a", "b", "c", "d", "e")
+        with pytest.raises(ValueError, match=r"^X must be nonnegative and finite: doc 'd'$"):
+            check_nonnegative(mat, "X", ids)
+
+    def test_first_row_wins_and_1d_names_the_entry(self):
+        dense = np.ones((5, 4))
+        dense[4, 0], dense[2, 3] = -1.0, np.nan
+        with pytest.raises(ValueError, match=r"row 2$"):
+            check_nonnegative(sp.csr_matrix(dense), "X")
+        with pytest.raises(ValueError, match=r"row 6$"):
+            check_nonnegative(np.array([0.0, 1, 2, 3, 4, 5, -6, -7]), "X")
+
+    def test_clean_and_empty_inputs_pass(self):
+        for mat in (np.zeros((3, 2)), sp.csr_matrix((3, 2)), np.empty((0, 4)), np.array([])):
+            check_nonnegative(mat, "X")
 
 
 class TestTfMatrix:
