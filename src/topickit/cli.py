@@ -36,7 +36,7 @@ from .export import write_csv, write_factor_csv, write_json
 from .lda import LdaConfig, fit_lda
 from .nmf import fit_nmf
 from .ntf import fit_ntf
-from .vectorize import _tensor, _tfidf, build_vocabulary, check_k, check_setting, tf_matrix
+from .vectorize import DocTermMatrix, _tensor, _tfidf, check_k, check_setting, count_terms
 
 __all__ = ["ConfigError", "RunConfig", "RunManifest", "run_experiment", "select_best", "main"]
 
@@ -140,8 +140,14 @@ class RunConfig:
         unknown = [key for key in self.filters if key not in FILTER_KEYS]
         if unknown:
             raise ConfigError(f"unknown filter key(s): {', '.join(unknown)}")
+        for key in ("category", "report_type"):  # compared with the documents' strings
+            if not isinstance(self.filters.get(key, ""), str):
+                raise ConfigError(f"filters.{key} must be a string, got {self.filters[key]!r}")
         if "year" in self.filters:
             self.filters = {**self.filters, "year": _year_range(self.filters["year"])}
+        if not all(isinstance(word, str) for word in self.extra_stopwords):
+            raise ConfigError(f"extra_stopwords must be a list of strings, "
+                              f"got {list(self.extra_stopwords)!r}")
 
         try:  # the library's own checks and wording, each failure one ConfigError
             for k in self.k_values:
@@ -357,24 +363,20 @@ def run_experiment(config: RunConfig) -> RunManifest:
             f"{len(empty_ids)} document(s) empty after preprocessing: {', '.join(empty_ids)}"
         )
 
-    non_empty = [t for t in tokenized if not t.is_empty]
-    try:
-        vocab = build_vocabulary(non_empty, min_df=config.min_df)
+    try:  # counted once; TF-IDF and the tensor derive from it
+        vocab, tf = count_terms([t for t in tokenized if not t.is_empty], min_df=config.min_df)
     except ValueError as exc:
         raise CorpusError(str(exc)) from exc
-
-    has_term = [any(tok in vocab for tok in t.tokens) for t in non_empty]
-    in_vocab = [t for t, ok in zip(non_empty, has_term) if ok]
-    dropped_oov = [t.doc_id for t, ok in zip(non_empty, has_term) if not ok]
+    has_term = np.diff(tf.values.indptr) > 0  # min_df can leave a document no term
+    dropped_oov = [doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if not ok]
     if dropped_oov:
         notices.append(
             f"{len(dropped_oov)} document(s) have no in-vocabulary token: {', '.join(dropped_oov)}"
         )
-    if not in_vocab:
-        raise CorpusError("no document has an in-vocabulary token")
+        kept_ids = tuple(doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if ok)
+        tf = DocTermMatrix(tf.values[has_term], "tf", kept_ids)
 
     company_map = {d.doc_id: d.company_id for d in docs}
-    tf = tf_matrix(in_vocab, vocab)  # counted once; TF-IDF and the tensor derive from it
     tfidf = _tfidf(tf, vocab)
     tensor = _tensor(tf, company_map)
     bundle = _CorpusBundle(
@@ -382,7 +384,7 @@ def run_experiment(config: RunConfig) -> RunManifest:
         tfidf=tfidf,
         tensor=tensor,
         vocab=vocab,
-        doc_companies=[company_map[t.doc_id] for t in in_vocab],
+        doc_companies=[company_map[doc_id] for doc_id in tf.doc_ids],
     )
     logger.info(
         "corpus ready: %d documents, %d companies, %d terms",

@@ -116,7 +116,7 @@ def _word_set(name: str, words) -> frozenset[str]:
 
 # Maximal runs of Unicode letters or digits; underscores and punctuation split.
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_ASCII_WORD_RE = re.compile(r"[a-z0-9]{3,}", re.ASCII)
+_ASCII_WORD_RE = re.compile(r"(?<![a-z0-9])[a-z]{3,}(?![a-z0-9])", re.ASCII)  # whole letter runs
 
 
 def tokenize(text: str) -> list[str]:
@@ -133,7 +133,7 @@ def tokenize(text: str) -> list[str]:
     a text with even one other character takes the slower loop below.
     """
     if text.isascii():
-        return [token for token in _ASCII_WORD_RE.findall(text.lower()) if token.isalpha()]
+        return _ASCII_WORD_RE.findall(text.lower())
     out = []
     for token in _WORD_RE.findall(text):
         # No digit is alphabetic, so only a token with a non-letter is scanned.

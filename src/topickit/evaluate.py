@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .vectorize import DocTermMatrix, Vocabulary
+from .vectorize import DocTermMatrix, Vocabulary, _indicator
 
 __all__ = [
     "SilhouetteResult",
@@ -29,7 +29,7 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_BLOCK_FLOATS = 2**22
+_BLOCK_FLOATS = 2**16
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,8 @@ def silhouette(points, labels) -> SilhouetteResult:
     Samples in singleton clusters score 0, and the mean runs over all
     samples.  Requires at least two samples and two distinct labels.
     Distances are computed one block of rows at a time, so at most
-    ``_BLOCK_FLOATS`` of them exist at once.
+    ``_BLOCK_FLOATS`` of them exist at once, and summed per cluster in an
+    order that depends on neither the block nor the BLAS.
     """
     label_arr = np.asarray(labels)
     pts = np.asarray(points, dtype=np.float64)
@@ -71,17 +72,18 @@ def silhouette(points, labels) -> SilhouetteResult:
         raise ValueError(f"silhouette needs at least 2 samples, got {n}")
     if len(label_arr) != n:
         raise ValueError(f"{len(label_arr)} labels for {n} samples")
-    uniq, own = np.unique(label_arr, return_inverse=True)
+    uniq, own, counts = np.unique(label_arr, return_inverse=True, return_counts=True)
     if len(uniq) < 2:
         raise ValueError("silhouette is undefined for a single cluster")
 
     rows = np.arange(n)
-    onehot = np.eye(len(uniq))[own]
+    by_label = pts[np.argsort(own, kind="stable")]  # each cluster's points are one run
+    starts = np.cumsum(counts) - counts
     step = max(1, _BLOCK_FLOATS // n)
-    cluster_sums = np.empty_like(onehot)  # (n, n_clusters) distance sums
+    cluster_sums = np.empty((n, len(uniq)))  # (n, n_clusters) distance sums
     for start in range(0, n, step):
-        cluster_sums[start:start + step] = cdist(pts[start:start + step], pts) @ onehot
-    counts = onehot.sum(axis=0)
+        block = cdist(pts[start:start + step], by_label)
+        cluster_sums[start:start + step] = np.add.reduceat(block, starts, axis=1)
     own_counts = counts[own]
 
     a = cluster_sums[rows, own] / np.maximum(own_counts - 1, 1)
@@ -95,9 +97,7 @@ def silhouette(points, labels) -> SilhouetteResult:
 
 
 def _ranked_terms(weights_row: np.ndarray, vocab: Vocabulary, n: int) -> list[str]:
-    terms = np.asarray(vocab.index_to_term)
-    order = np.lexsort((terms, -weights_row))
-    return [str(terms[i]) for i in order[:n]]
+    return [vocab.index_to_term[i] for i in np.lexsort((vocab.lex_rank, -weights_row))[:n]]
 
 
 def top_keywords(topic_term, vocab: Vocabulary, n: int = 30) -> list[list[str]]:
@@ -125,16 +125,11 @@ def group_frequent_terms(
     if len(labels) != n_docs:
         raise ValueError(f"{len(labels)} labels for {n_docs} documents")
 
-    groups: list[list[str]] = []
-    for g in range(k):
-        members = np.flatnonzero(labels == g)
-        if len(members) == 0:
-            logger.warning("group %d is empty; no frequent-term list", g)
-            groups.append([])
-            continue
-        totals = np.asarray(tf.values[members].sum(axis=0)).ravel()
-        groups.append(_ranked_terms(totals, vocab, n))
-    return groups
+    sizes = np.bincount(labels, minlength=k)
+    totals = (_indicator(labels, k) @ tf.values).toarray()  # integer counts: exact sums
+    for g in np.flatnonzero(sizes == 0):
+        logger.warning("group %d is empty; no frequent-term list", g)
+    return [_ranked_terms(totals[g], vocab, n) if sizes[g] else [] for g in range(k)]
 
 
 def keyword_match_ratio(

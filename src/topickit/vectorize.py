@@ -7,9 +7,12 @@ From a list of tokenized documents this module builds
 * a sparse document x company x term tensor whose company-axis sum
   reproduces the TF matrix exactly.
 
-TF-IDF and the tensor derive from one TF count (``tfidf_matrix`` and
-``build_tensor`` count it first); the tensor's pair rows are that TF
-matrix, shared, not copied, so no caller may write into either.
+``count_terms`` gives each distinct stem an integer code and counts the
+codes once, into one CSR matrix from which the vocabulary (two
+``bincount``s) and the TF matrix both come.  TF-IDF and the tensor derive
+from one TF count (``tfidf_matrix`` and ``build_tensor`` count it first);
+the tensor's pair rows are that TF matrix, shared, not copied, so no
+caller may write into either.
 
 It also holds the input checks that the run configuration and the solvers share.
 
@@ -23,8 +26,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -37,6 +42,7 @@ __all__ = [
     "DocTermMatrix",
     "DocCompanyTermTensor",
     "build_vocabulary",
+    "count_terms",
     "tf_matrix",
     "tfidf_matrix",
     "build_tensor",
@@ -56,6 +62,11 @@ class Vocabulary:
 
     def __contains__(self, term: str) -> bool:
         return term in self.term_to_index
+
+    @cached_property
+    def lex_rank(self) -> np.ndarray:
+        """Each term's position in sorted order: ties break by integer, not by string."""
+        return np.argsort(np.array(self.index_to_term)).argsort()
 
 
 @dataclass(frozen=True)
@@ -146,31 +157,44 @@ def check_nonnegative(mat, what: str, row_ids=None) -> None:
 
 
 def build_vocabulary(docs: Iterable[TokenizedDocument], min_df: int = 1) -> Vocabulary:
-    """Build the vocabulary over all documents.
+    """The vocabulary of ``count_terms(docs, min_df)``."""
+    return count_terms(docs, min_df)[0]
+
+
+def count_terms(docs: Iterable[TokenizedDocument],
+                min_df: int = 1) -> tuple[Vocabulary, DocTermMatrix]:
+    """The vocabulary over all documents and their TF matrix, from one count.
 
     Terms seen in fewer than ``min_df`` documents are excluded.  Index
     order is total corpus frequency descending, ties broken by the term
-    string, which keeps downstream keyword rankings reproducible.
+    string, which keeps downstream keyword rankings reproducible.  Stems
+    are counted as integer codes, and the columns then put in index order.
     """
     check_setting("min_df", min_df, 1)
     docs = list(docs)
-    if not docs or all(d.is_empty for d in docs):
+    stems = list(dict.fromkeys(chain.from_iterable(d.tokens for d in docs)))
+    if not stems:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-
-    total = Counter()
-    dfreq = Counter()
-    for doc in docs:
-        total.update(doc.tokens)
-        dfreq.update(set(doc.tokens))
-
-    kept = [t for t in total if dfreq[t] >= min_df]
-    if not kept:
+    counts = _count(docs, dict(zip(stems, range(len(stems)))), len(stems))
+    dfreq = np.bincount(counts.indices, minlength=len(stems)).astype(np.int64)
+    kept = np.flatnonzero(dfreq >= min_df)
+    if not kept.size:
         raise ValueError(f"no term reaches min_df={min_df}")
-    kept.sort(key=lambda t: (-total[t], t))
+    total = np.bincount(counts.indices, weights=counts.data)[kept]
+    kept = kept[np.lexsort((np.array([stems[i] for i in kept]), -total))]
+    terms = tuple(stems[i] for i in kept)
+    tf = DocTermMatrix(counts[:, kept].sorted_indices(), "tf", tuple(d.doc_id for d in docs))
+    return Vocabulary(dict(zip(terms, range(len(terms)))), terms, dfreq[kept]), tf
 
-    term_to_index = {t: i for i, t in enumerate(kept)}
-    doc_freq = np.array([dfreq[t] for t in kept], dtype=np.int64)
-    return Vocabulary(term_to_index, tuple(kept), doc_freq)
+
+def _count(docs: list[TokenizedDocument], codes: Mapping[str, int], n_cols: int) -> sp.csr_matrix:
+    """Canonical CSR counts of each document's tokens, by their column in ``codes``."""
+    indptr = np.cumsum([0, *map(len, (d.tokens for d in docs))])
+    cols = map(codes.__getitem__, chain.from_iterable(d.tokens for d in docs))
+    mat = sp.csr_matrix((np.ones(indptr[-1]), np.fromiter(cols, np.int64, indptr[-1]), indptr),
+                        shape=(len(docs), n_cols))
+    mat.sum_duplicates()  # sorts each row's columns and sums the repeats
+    return mat
 
 
 def tf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMatrix:
@@ -180,12 +204,8 @@ def tf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMatrix
     sums to the document's token count.  The matrix is canonical CSR:
     each row lists its terms once, in index order.
     """
-    get = vocab.term_to_index.get
-    ids = [[i for t in d.tokens if (i := get(t)) is not None] for d in docs]
-    indptr = np.cumsum([0] + [len(row) for row in ids])
-    cols = np.fromiter((i for row in ids for i in row), np.int64, count=indptr[-1])
-    mat = sp.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(len(docs), len(vocab)))
-    mat.sum_duplicates()  # sorts each row's term ids and sums the repeats
+    oov = len(vocab)  # the column that tokens outside the vocabulary are counted in, then cut
+    mat = _count(docs, defaultdict(lambda: oov, vocab.term_to_index), oov + 1)[:, :oov]
     return DocTermMatrix(mat, "tf", tuple(d.doc_id for d in docs))
 
 

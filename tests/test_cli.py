@@ -65,19 +65,23 @@ class TestCountOnce:
                            k_values=(2, 3), seed=0, min_df=2, extra_stopwords=("Pit",),
                            out_dir=str(tmp_path / "out"))
         calls, seen = [], {}
-        real_tf, real_run_cell = cli.tf_matrix, cli._run_cell
+        real_count, real_codes, real_run_cell = cli.count_terms, vectorize._count, cli._run_cell
 
-        def counting_tf(*args, **kwargs):
-            calls.append(args)
-            return real_tf(*args, **kwargs)
+        def counting(*args, **kwargs):
+            calls.append(("count_terms", args))
+            return real_count(*args, **kwargs)
+
+        def counting_codes(*args, **kwargs):  # every pass over the tokens
+            calls.append(("tokens", args))
+            return real_codes(*args, **kwargs)
 
         def capturing_run_cell(method, k, bundle, *args):
             seen.setdefault("bundle", bundle)
             seen.setdefault("tf_before", csr_bytes(bundle.tf.values))
             return real_run_cell(method, k, bundle, *args)
 
-        monkeypatch.setattr(cli, "tf_matrix", counting_tf)
-        monkeypatch.setattr(vectorize, "tf_matrix", counting_tf)
+        monkeypatch.setattr(cli, "count_terms", counting)
+        monkeypatch.setattr(vectorize, "_count", counting_codes)
         monkeypatch.setattr(cli, "_run_cell", capturing_run_cell)
         manifest = run_experiment(config)
         assert [c["status"] for c in manifest.cells] == ["ok"] * 6
@@ -85,7 +89,7 @@ class TestCountOnce:
 
     def test_tf_counted_once_per_run(self, tmp_path, monkeypatch):
         _, calls, _ = self.run_capturing_bundle(tmp_path, monkeypatch)
-        assert len(calls) == 1
+        assert [name for name, _ in calls] == ["count_terms", "tokens"]
 
     def test_document_wrappers_equal_the_bundle(self, tmp_path, monkeypatch):
         config, _, seen = self.run_capturing_bundle(tmp_path, monkeypatch)
@@ -488,6 +492,21 @@ class TestMainExitCodes:
         assert "categroy" in capsys.readouterr().out
         assert main(["--corpus", str(corpus), "--filter", "categroy=coal", "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("settings, named", [
+        ({"extra_stopwords": [5]}, "extra_stopwords"),
+        ({"extra_stopwords": ["coal", None]}, "extra_stopwords"),
+        ({"filters": {"category": 5}}, "filters.category"),
+        ({"filters": {"report_type": ["annual"]}}, "filters.report_type"),
+    ])
+    def test_non_string_word_or_filter_is_config_error(self, tmp_path, capsys, settings, named):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        cfg = write_config(tmp_path, corpus_path=str(corpus), methods=["nmf"], k_values=[2],
+                           **settings)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("config error: ") and named in out
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("settings, named", [
         ({"nmf": {"max_iters": 1}}, "nmf.max_iters"),

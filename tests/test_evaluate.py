@@ -41,6 +41,20 @@ def silhouette_oracle(points, labels):
     return np.array(out)
 
 
+def silhouette_row_oracle(points, labels):
+    """The oracle's rule one sample at a time, with numpy distances (fast at n=1000)."""
+    out = np.zeros(len(points))
+    for i, point in enumerate(points):
+        dist = np.sqrt(((points - point) ** 2).sum(axis=1))
+        own = labels == labels[i]
+        if own.sum() == 1:
+            continue
+        a = dist[own].sum() / (own.sum() - 1)
+        b = min(dist[labels == c].mean() for c in set(labels.tolist()) - {labels[i]})
+        out[i] = 0.0 if max(a, b) == 0 else (b - a) / max(a, b)
+    return out
+
+
 class TestArgmaxAssign:
     def test_simple_row(self):
         got = argmax_assign(np.array([[0.1, 0.7, 0.2]]), ["d1"])
@@ -147,6 +161,19 @@ class TestSilhouette:
         assert blocked.mean == whole.mean
         want = silhouette_oracle(points.tolist(), labels.tolist())
         np.testing.assert_allclose(blocked.per_sample, want, atol=1e-9)
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_sums_do_not_depend_on_the_block(self, monkeypatch, k):
+        # At n=1000 a BLAS product's sums change with the row split; per-row sums must not.
+        rng = np.random.default_rng(k)
+        points = rng.dirichlet(np.full(k, 0.3), 1000)
+        labels = np.argmax(points, axis=1)
+        results = []
+        for block in (2**14, 2**16, 2**30):
+            monkeypatch.setattr(evaluate, "_BLOCK_FLOATS", block)
+            results.append(silhouette(points, labels).per_sample)
+        assert all(np.array_equal(result, results[0]) for result in results)
+        np.testing.assert_allclose(results[0], silhouette_row_oracle(points, labels), atol=1e-9)
 
 
 class TestTopKeywords:

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from topickit.evaluate import _ranked_terms
 from topickit.vectorize import (
     DocCompanyTermTensor,
     build_tensor,
     build_vocabulary,
     check_nonnegative,
+    count_terms,
     tf_matrix,
     tfidf_matrix,
 )
@@ -98,6 +100,69 @@ class TestVocabulary:
         b = build_vocabulary(docs)
         assert a.index_to_term == b.index_to_term
         assert np.array_equal(a.doc_freq, b.doc_freq)
+
+
+def counter_oracle(docs, min_df):
+    """Vocabulary order, document frequencies and canonical TF CSR, by Counters."""
+    total = Counter(t for d in docs for t in d.tokens)
+    dfreq = Counter(t for d in docs for t in set(d.tokens))
+    terms = sorted((t for t in total if dfreq[t] >= min_df), key=lambda t: (-total[t], t))
+    index = {t: i for i, t in enumerate(terms)}
+    indptr, indices, data = [0], [], []
+    for doc in docs:
+        row = Counter(index[t] for t in doc.tokens if t in index)
+        indices += sorted(row)
+        data += [float(row[i]) for i in sorted(row)]
+        indptr.append(len(indices))
+    tf = sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int64),
+                        np.array(indptr, dtype=np.int64)), shape=(len(docs), len(terms)))
+    return tuple(terms), [dfreq[t] for t in terms], tf
+
+
+def tied_corpus(rng):
+    """Few short random terms, so totals tie often, with an empty document
+    and one whose only term is in no other document."""
+    pool = ["".join(rng.choice(list("abyz"), size=int(rng.integers(1, 4))))
+            for _ in range(int(rng.integers(2, 20)))]
+    docs = [toks(f"d{i}", rng.choice(pool, size=int(rng.integers(0, 12))).tolist())
+            for i in range(int(rng.integers(1, 15)))]
+    docs.insert(int(rng.integers(0, len(docs) + 1)), toks("empty", []))
+    docs.append(toks("rare", [f"rare{len(docs)}", f"rare{len(docs)}"]))
+    return docs
+
+
+class TestCountTerms:
+    """The integer-coded count against a Counter oracle, byte for byte."""
+
+    @pytest.mark.parametrize("min_df", [1, 2, 3])
+    def test_matches_counter_oracle(self, min_df):
+        rng = np.random.default_rng(min_df)
+        for _ in range(100):
+            docs = tied_corpus(rng)
+            terms, dfreq, want = counter_oracle(docs, min_df)
+            if not terms:
+                with pytest.raises(ValueError, match="no term reaches"):
+                    count_terms(docs, min_df)
+                continue
+            vocab, tf = count_terms(docs, min_df)
+            assert vocab.index_to_term == terms
+            assert vocab.doc_freq.dtype == np.int64 and vocab.doc_freq.tolist() == dfreq
+            assert vocab.term_to_index == {t: i for i, t in enumerate(terms)}
+            assert tf.doc_ids == tuple(d.doc_id for d in docs)
+            for got in (tf.values, tf_matrix(docs, vocab).values):
+                for name in ("indptr", "indices", "data"):
+                    assert getattr(got, name).dtype == getattr(want, name).dtype
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+            assert build_vocabulary(docs, min_df).index_to_term == terms
+
+    def test_ranked_terms_equal_the_string_lexsort_on_ties(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            vocab, _ = count_terms(tied_corpus(rng))
+            weights = rng.integers(0, 3, len(vocab)).astype(float)  # mostly ties
+            order = np.lexsort((np.array(vocab.index_to_term), -weights))
+            n = int(rng.integers(1, len(vocab) + 1))
+            assert _ranked_terms(weights, vocab, n) == [vocab.index_to_term[i] for i in order[:n]]
 
 
 class TestCheckNonnegative:
