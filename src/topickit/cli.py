@@ -64,8 +64,12 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _comma_list(value) -> tuple:
-    return tuple(v for v in value.split(",") if v) if isinstance(value, str) else tuple(value)
+def _comma_list(name: str, value) -> tuple:
+    if isinstance(value, str):
+        return tuple(v for v in value.split(",") if v)
+    if not isinstance(value, (list, tuple)):  # a dict would pass on its keys, a set unordered
+        raise ConfigError(f"{name} must be a list or a comma-separated string, got {value!r}")
+    return tuple(value)
 
 
 def _parse_k_values(text: str) -> tuple[int, ...]:
@@ -118,15 +122,15 @@ class RunConfig:
     ntf: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.methods = _comma_list(self.methods)
-        self.extra_stopwords = _comma_list(self.extra_stopwords)
-        if isinstance(self.k_values, str):
-            self.k_values = _parse_k_values(self.k_values)
+        self.methods = _comma_list("methods", self.methods)
+        self.extra_stopwords = _comma_list("extra_stopwords", self.extra_stopwords)
+        self.k_values = (_parse_k_values(self.k_values) if isinstance(self.k_values, str)
+                         else _comma_list("k_values", self.k_values))
         if not self.methods:
             raise ConfigError("at least one method is required")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
-            raise ConfigError(f"unknown method(s): {', '.join(unknown)}")
+            raise ConfigError(f"unknown method(s): {', '.join(map(str, unknown))}")
         if not self.k_values:
             raise ConfigError("at least one K value is required")
         for name in ("corpus_path", "corpus_format", "out_dir"):

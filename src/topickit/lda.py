@@ -4,8 +4,9 @@ A warm-started E-step (coordinate ascent on every document's gamma)
 alternates with a global M-step.  The recorded bound has the word
 responsibilities collapsed out, so every gamma and lambda update is an
 exact coordinate-ascent step on it, and the trace is non-decreasing for
-any number of inner updates; those are capped at 256, 512, then 1000 per
-E-step (Hoffman, Blei & Bach 2010).  Both Dirichlet priors are 1/K.
+any number of inner updates.  The first E-steps stop each document at a
+loose tolerance (Hoffman, Blei & Bach 2010): gamma fitted tightly to the
+random starting lambda settles in a poor basin.  Both priors are 1/K.
 
 The E-step holds K-major arrays, topics down and documents or stored
 entries across, one row block of at most ``_BLOCK_FLOATS / K`` stored
@@ -34,13 +35,12 @@ from .vectorize import DocTermMatrix, check_k, check_nonnegative, check_setting
 
 __all__ = ["LdaConfig", "LdaModel", "fit_lda", "lda_elbo"]
 
-# A document's inner updates stop once its mean absolute gamma change is below
-# _INNER_TOL times its mean gamma (at 1e-5 the planted K=5 fit ends lower), or
-# at min(_INNER_MAX_ITER, _INNER_FIRST * 2**t) in outer iteration t: the least
-# power of two at which no planted K (2-6) ends lower than under a flat 1000.
+# A document's inner updates stop after _INNER_MAX_ITER, or once its mean |gamma change| is
+# below a tolerance times its mean gamma: _INNER_TOL_EARLY in the first _EARLY_ITERS outer
+# iterations, then _INNER_TOL (at 1e-5 the planted K=5 fit ends lower).
 _INNER_MAX_ITER = 1000
-_INNER_FIRST = 256
 _INNER_TOL = 1e-6
+_INNER_TOL_EARLY, _EARLY_ITERS = 1e-2, 3
 # Bound on K times a row block's stored entries; a longer row is a block alone.
 _BLOCK_FLOATS = 2**20
 
@@ -125,7 +125,7 @@ def _phinorm_at(mat, blocks, theta, expElogbeta) -> np.ndarray:
     return phinorm
 
 
-def _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips):
+def _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips, tol):
     """Coordinate ascent on (K, D) gamma, in place, from phinorm there: (sstats, updates)."""
     updates = 0
     for start, stop, lo, hi in blocks:
@@ -138,7 +138,7 @@ def _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips):
             new = alpha + th * np.add.reduceat(betad * (cts / ph), starts, axis=1)
             updates += len(docs)
             # mean |change| >= tol * mean gamma, over the same K topics; all stop at the cap
-            moving = (_colsum(abs(new - g)) >= _INNER_TOL * _colsum(new)) & (trip + 1 < max_trips)
+            moving = (_colsum(abs(new - g)) >= tol * _colsum(new)) & (trip + 1 < max_trips)
             g, th = new, _exp_elog_theta(new)
             n_moving = np.count_nonzero(moving)
             if n_moving < len(docs):
@@ -198,8 +198,8 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
 
     trace, converged, inner_updates = [], False, 0
     for iteration in range(config.max_iter):
-        max_trips = min(_INNER_MAX_ITER, _INNER_FIRST << iteration)
-        sstats, updates = _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips)
+        sstats, updates = _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, _INNER_MAX_ITER,
+                                  _INNER_TOL_EARLY if iteration < _EARLY_ITERS else _INNER_TOL)
         inner_updates += updates
         lam = beta + sstats
         bound, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta)

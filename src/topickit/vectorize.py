@@ -172,10 +172,11 @@ def count_terms(docs: Iterable[TokenizedDocument],
     """
     check_setting("min_df", min_df, 1)
     docs = list(docs)
-    stems = list(dict.fromkeys(chain.from_iterable(d.tokens for d in docs)))
-    if not stems:
+    codes = _Codes()
+    counts = _count(docs, codes)
+    if not codes:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    counts = _count(docs, dict(zip(stems, range(len(stems)))), len(stems))
+    stems = list(codes)
     dfreq = np.bincount(counts.indices, minlength=len(stems)).astype(np.int64)
     kept = np.flatnonzero(dfreq >= min_df)
     if not kept.size:
@@ -187,12 +188,24 @@ def count_terms(docs: Iterable[TokenizedDocument],
     return Vocabulary(dict(zip(terms, range(len(terms)))), terms, dfreq[kept]), tf
 
 
-def _count(docs: list[TokenizedDocument], codes: Mapping[str, int], n_cols: int) -> sp.csr_matrix:
-    """Canonical CSR counts of each document's tokens, by their column in ``codes``."""
+class _Codes(dict):
+    """Stem -> integer code; an unseen stem gets the next code, so codes follow first sight."""
+
+    def __missing__(self, stem: str) -> int:
+        code = self[stem] = len(self)
+        return code
+
+
+def _count(docs: list[TokenizedDocument], codes: Mapping[str, int],
+           n_cols: int | None = None) -> sp.csr_matrix:
+    """Canonical CSR counts of each document's tokens, by their column in ``codes``.
+
+    ``n_cols`` defaults to the size of ``codes`` after the pass, which may add codes.
+    """
     indptr = np.cumsum([0, *map(len, (d.tokens for d in docs))])
     cols = map(codes.__getitem__, chain.from_iterable(d.tokens for d in docs))
-    mat = sp.csr_matrix((np.ones(indptr[-1]), np.fromiter(cols, np.int64, indptr[-1]), indptr),
-                        shape=(len(docs), n_cols))
+    cols = np.fromiter(cols, np.int64, indptr[-1])
+    mat = sp.csr_matrix((np.ones(indptr[-1]), cols, indptr), shape=(len(docs), n_cols or len(codes)))
     mat.sum_duplicates()  # sorts each row's columns and sums the repeats
     return mat
 

@@ -508,6 +508,23 @@ class TestMainExitCodes:
         assert out.startswith("config error: ") and named in out
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [5, {"nmf": 2}])
+    @pytest.mark.parametrize("key", ["methods", "k_values", "extra_stopwords"])
+    def test_non_list_is_config_error_naming_the_key(self, tmp_path, capsys, key, value):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        settings = {"methods": ["nmf"], "k_values": [2], key: value}
+        cfg = write_config(tmp_path, corpus_path=str(corpus), **settings)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        out = capsys.readouterr().out
+        assert out == f"config error: {key} must be a list or a comma-separated string, got {value!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_non_string_method_is_config_error(self, tmp_path, capsys):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        cfg = write_config(tmp_path, corpus_path=str(corpus), methods=["nmf", 5], k_values=[2])
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().out == "config error: unknown method(s): 5\n"
+
     @pytest.mark.parametrize("settings, named", [
         ({"nmf": {"max_iters": 1}}, "nmf.max_iters"),
         ({"nmf": {"max_sweeps": 1}}, "nmf.max_sweeps"),

@@ -1,4 +1,7 @@
+import itertools
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from scipy.special import gammaln, logsumexp, psi
 from topickit import lda
 from topickit.corpus import load_corpus, preprocess_corpus
 from topickit.lda import LdaConfig, LdaModel, _e_step, fit_lda, lda_elbo
-from topickit.vectorize import DocTermMatrix, build_vocabulary, tf_matrix
+from topickit.vectorize import DocTermMatrix, build_vocabulary, count_terms, tf_matrix
 
 from conftest import random_tokenized, toks
 from planted import EXPERIMENT_SEED, PLANTED_SEED, write_planted_corpus
@@ -48,7 +51,7 @@ def dirichlet_expectation(x):
     return psi(x) - psi(np.sum(x, axis=-1, keepdims=True))
 
 
-def loop_e_step(mat, gamma, expElogbeta, alpha, max_trips):
+def loop_e_step(mat, gamma, expElogbeta, alpha, max_trips, tol):
     """Reference E-step: coordinate ascent one document at a time."""
     sstats = np.zeros_like(expElogbeta)
     updates = 0
@@ -66,7 +69,7 @@ def loop_e_step(mat, gamma, expElogbeta, alpha, max_trips):
             updates += 1
             expElogthetad = np.exp(dirichlet_expectation(gammad))
             phinorm = expElogthetad @ expElogbetad + 1e-100
-            if np.mean(np.abs(gammad - last)) < lda._INNER_TOL * np.mean(gammad):
+            if np.mean(np.abs(gammad - last)) < tol * np.mean(gammad):
                 break
         gamma[d] = gammad
         # add.at, not +=, so that duplicate column indices accumulate
@@ -119,6 +122,21 @@ def planted_tf(tmp_path):
     write_planted_corpus(path, seed=PLANTED_SEED)
     docs, _ = preprocess_corpus(load_corpus(path))
     return tf_matrix(docs, build_vocabulary(docs))
+
+
+@pytest.fixture(scope="module")
+def reports_tf(tmp_path_factory):
+    """TF (min_df 10) of 300 documents from the bench's report-like generator, seed 1."""
+    bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        from corpora import ReportsParams, write_reports_corpus
+    finally:
+        sys.path.remove(bench)
+    path = tmp_path_factory.mktemp("reports") / "reports.jsonl"
+    write_reports_corpus(path, ReportsParams(docs=300, length_lo=80, length_hi=300), 1)
+    docs, _ = preprocess_corpus(load_corpus(path))
+    return count_terms(docs, min_df=10)[1]
 
 
 def assert_elbo_non_decreasing(rng):
@@ -226,25 +244,25 @@ class TestContracts:
         assert settled.converged
 
 
-def assert_e_step_matches_loop(rng, mat, k, max_trips):
+def assert_e_step_matches_loop(rng, mat, k, max_trips, tol=lda._INNER_TOL):
     alpha = 1.0 / k
     expElogbeta = np.exp(dirichlet_expectation(rng.gamma(100.0, 0.01, (k, mat.shape[1]))))
     start = alpha + rng.gamma(2.0, 5.0, (mat.shape[0], k))
     gamma, ref_gamma = start.T.copy(), start.copy()  # the library's gamma is (K, D)
     blocks = lda._blocks(mat.indptr, k)
     phinorm = lda._phinorm_at(mat, blocks, lda._exp_elog_theta(gamma), expElogbeta)
-    sstats, updates = _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips)
+    sstats, updates = _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips, tol)
     gamma = gamma.T
-    ref_sstats, ref_updates = loop_e_step(mat, ref_gamma, expElogbeta, alpha, max_trips)
+    ref_sstats, ref_updates = loop_e_step(mat, ref_gamma, expElogbeta, alpha, max_trips, tol)
     np.testing.assert_allclose(gamma, ref_gamma, rtol=1e-12)
     np.testing.assert_allclose(sstats, ref_sstats, rtol=1e-12)
     assert updates == ref_updates <= max_trips * mat.shape[0]
 
 
-def assert_e_step_matches_loop_on_random_tf(rng, k, max_trips):
+def assert_e_step_matches_loop_on_random_tf(rng, k, max_trips, tol=lda._INNER_TOL):
     for _ in range(4):
         tf = random_tf(rng, n_docs=12, n_terms=20)
-        assert_e_step_matches_loop(rng, tf.values.tocsr(), k, max_trips)
+        assert_e_step_matches_loop(rng, tf.values.tocsr(), k, max_trips, tol)
 
 
 def model_at(gamma, lam, alpha=0.3, beta=0.2):
@@ -264,6 +282,10 @@ class TestBatchedMatchesLoop:
     def test_e_step_matches_loop(self, rng, k):
         assert_e_step_matches_loop_on_random_tf(rng, k, lda._INNER_MAX_ITER)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_e_step_matches_loop_at_the_early_tolerance(self, rng, k):
+        assert_e_step_matches_loop_on_random_tf(rng, k, lda._INNER_MAX_ITER, lda._INNER_TOL_EARLY)
+
     @pytest.mark.parametrize("max_trips", [1, 3])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_e_step_matches_loop_under_cap(self, rng, k, max_trips):
@@ -274,8 +296,8 @@ class TestBatchedMatchesLoop:
         # 1-entry rows next to rows over most of the vocabulary, so that
         # documents leave the active set at very different trips
         mat = uneven_tf(rng).values
-        for k in (2, 4):
-            assert_e_step_matches_loop(rng, mat, k, max_trips)
+        for k, tol in itertools.product((2, 4), (lda._INNER_TOL, lda._INNER_TOL_EARLY)):
+            assert_e_step_matches_loop(rng, mat, k, max_trips, tol)
 
     @pytest.mark.parametrize("max_trips", [1, 3, lda._INNER_MAX_ITER])
     def test_e_step_matches_loop_on_duplicate_unsorted_indices(self, rng, max_trips):
@@ -284,8 +306,8 @@ class TestBatchedMatchesLoop:
         data = rng.integers(1, 6, size=len(indices)).astype(np.float64)
         mat = sp.csr_matrix((data, indices, indptr), shape=(5, 8))
         assert not mat.has_canonical_format
-        for k in (2, 3):
-            assert_e_step_matches_loop(rng, mat, k, max_trips)
+        for k, tol in itertools.product((2, 3), (lda._INNER_TOL, lda._INNER_TOL_EARLY)):
+            assert_e_step_matches_loop(rng, mat, k, max_trips, tol)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_bound_matches_loop(self, rng, k):
@@ -351,25 +373,36 @@ class TestFusedBound:
 
 
 class TestInnerSchedule:
-    def test_cap_doubles_up_to_the_maximum(self, rng, monkeypatch):
-        caps = []
+    def test_tolerance_loosens_only_the_first_e_steps(self, rng, monkeypatch):
+        steps = []
 
         def recording_e_step(*args):
-            caps.append(args[-1])  # max_trips
+            steps.append(args[-2:])  # (max_trips, tol)
             return _e_step(*args)
 
         monkeypatch.setattr(lda, "_e_step", recording_e_step)
         model = fit_lda(random_tf(rng), LdaConfig(k=2, max_iter=5, tol=0.0))
         assert len(model.elbo_trace) == 5
-        assert caps == [256, 512, 1000, 1000, 1000]
+        assert [tol for _, tol in steps] == [1e-2] * 3 + [1e-6] * 2
+        assert [cap for cap, _ in steps] == [1000] * 5
 
-    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_planted_bound_no_lower_than_flat_cap(self, tmp_path, monkeypatch, k):
+        # the flat reference: a 1e-6 tolerance and the 1000 cap in every E-step
         tf = planted_tf(tmp_path)
         scheduled = fit_lda(tf, LdaConfig(k=k, seed=EXPERIMENT_SEED)).elbo_trace[-1]
-        monkeypatch.setattr(lda, "_INNER_FIRST", lda._INNER_MAX_ITER)
+        monkeypatch.setattr(lda, "_INNER_TOL_EARLY", lda._INNER_TOL)
         flat = fit_lda(tf, LdaConfig(k=k, seed=EXPERIMENT_SEED)).elbo_trace[-1]
         assert scheduled >= flat - 1e-9 * abs(flat)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_held_out_bound_no_lower_than_flat_cap(self, reports_tf, monkeypatch, seed):
+        # a corpus no inner setting was tuned on; the loose first E-steps
+        # ended 5.7e3-1.2e4 nats higher over LDA seeds 0-5
+        scheduled = fit_lda(reports_tf, LdaConfig(k=5, seed=seed)).elbo_trace[-1]
+        monkeypatch.setattr(lda, "_INNER_TOL_EARLY", lda._INNER_TOL)
+        flat = fit_lda(reports_tf, LdaConfig(k=5, seed=seed)).elbo_trace[-1]
+        assert scheduled >= flat
 
 
 class TestRowBlocks:
