@@ -93,7 +93,7 @@ def _year_range(value) -> tuple[int, int]:
         years = [int(p) if isinstance(p, str) else p for p in parts]
     except (TypeError, ValueError):
         years = []
-    if len(years) not in (1, 2) or not all(map(_is_int, years)):
+    if len(years) not in (1, 2) or not all(map(_is_int, years)) or years[0] > years[-1]:
         raise ConfigError(f"cannot parse year filter {value!r}")
     return int(years[0]), int(years[-1])
 

@@ -4,9 +4,10 @@ A warm-started E-step (coordinate ascent on every document's gamma)
 alternates with a global M-step.  The recorded bound has the word
 responsibilities collapsed out, so every gamma and lambda update is an
 exact coordinate-ascent step on it, and the trace is non-decreasing for
-any number of inner updates.  The first E-steps stop each document at a
-loose tolerance (Hoffman, Blei & Bach 2010): gamma fitted tightly to the
-random starting lambda settles in a poor basin.  Both priors are 1/K.
+any number of inner updates.  An E-step stops each document at a tolerance
+that follows the outer progress (inexact coordinate ascent), loosest in the
+first (Hoffman, Blei & Bach 2010): gamma fitted tightly to the random
+starting lambda settles in a poor basin.  Both priors are 1/K.
 
 The E-step holds K-major arrays, topics down and documents or stored
 entries across, one row block of at most ``_BLOCK_FLOATS / K`` stored
@@ -35,12 +36,9 @@ from .vectorize import DocTermMatrix, check_k, check_nonnegative, check_setting
 
 __all__ = ["LdaConfig", "LdaModel", "fit_lda", "lda_elbo"]
 
-# A document's inner updates stop after _INNER_MAX_ITER, or once its mean |gamma change| is
-# below a tolerance times its mean gamma: _INNER_TOL_EARLY in the first _EARLY_ITERS outer
-# iterations, then _INNER_TOL (at 1e-5 the planted K=5 fit ends lower).
-_INNER_MAX_ITER = 1000
-_INNER_TOL = 1e-6
-_INNER_TOL_EARLY, _EARLY_ITERS = 1e-2, 3
+# A document's inner updates stop after _INNER_MAX_ITER, or once its mean |gamma change| is below
+# tol times its mean gamma; tol is _INNER_TOL_SCALE x the last relative bound change, clamped.
+_INNER_MAX_ITER, _INNER_TOL, _INNER_TOL_EARLY, _INNER_TOL_SCALE = 1000, 1e-6, 1e-2, 10
 # Bound on K times a row block's stored entries; a longer row is a block alone.
 _BLOCK_FLOATS = 2**20
 
@@ -194,12 +192,13 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
     # Every topic gets an equal share of each document; gamma is (K, D) until the end.
     gamma = alpha + np.tile(np.asarray(mat.sum(axis=1)).T / config.k, (config.k, 1))
     blocks = _blocks(mat.indptr, config.k)
-    _, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta)
+    prev, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta)
 
-    trace, converged, inner_updates = [], False, 0
+    trace, converged, inner_updates, change = [], False, 0, np.inf
     for iteration in range(config.max_iter):
-        sstats, updates = _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, _INNER_MAX_ITER,
-                                  _INNER_TOL_EARLY if iteration < _EARLY_ITERS else _INNER_TOL)
+        tol = min(_INNER_TOL_EARLY, max(_INNER_TOL, _INNER_TOL_SCALE * change))
+        sstats, updates = _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha,
+                                  _INNER_MAX_ITER, tol)
         inner_updates += updates
         lam = beta + sstats
         bound, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta)
@@ -209,6 +208,7 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
         if len(trace) > 1 and abs(bound - trace[-2]) <= config.tol * abs(trace[-2]):
             converged = True
             break
+        change, prev = abs(bound - prev) / abs(prev), bound
 
     gamma = np.ascontiguousarray(gamma.T)
     return LdaModel(

@@ -185,12 +185,13 @@ def fit_nmf(
         _check_factor_shapes(mat, w, h)
 
     norm_x_sq = _sq_norm(mat)
+    mat_t = mat.T  # made once: building a transposed view costs as much as a small product
     hht = h @ h.T
-    trace = [_half_residual(norm_x_sq, (mat.T @ w).T, w.T @ w, h, hht)]
+    trace = [_half_residual(norm_x_sq, (mat_t @ w).T, w.T @ w, h, hht)]
     converged = False
     for iteration in range(max_iter):
         w = w * ((mat @ h.T) / (w @ hht + _EPS))
-        wtx = (mat.T @ w).T
+        wtx = (mat_t @ w).T
         wtw = w.T @ w
         h = h * (wtx / (wtw @ h + _EPS))
         hht = h @ h.T

@@ -99,6 +99,7 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
     a, b, c = factors
     ga, gb, gc = (f.T @ f for f in factors)
     by_doc, by_comp = _indicator(pair_doc, shape[0]), _indicator(pair_comp, shape[1])
+    mat_t = mat.T  # made once: building a transposed view costs as much as a small product
 
     norm_x_sq = float(mat.data @ mat.data)
     trace: list[float] = []
@@ -109,7 +110,7 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
         ga = _hals(a, by_doc @ (xc * b.take(pair_comp, axis=0)), gb * gc)
         a_pairs = a.take(pair_doc, axis=0)
         gb = _hals(b, by_comp @ (a_pairs * xc), ga * gc)
-        m_term = mat.T @ (a_pairs * b.take(pair_comp, axis=0))
+        m_term = mat_t @ (a_pairs * b.take(pair_comp, axis=0))
         gc = _hals(c, m_term, ga * gb)
 
         err = residual_norm_sq(norm_x_sq, float(np.sum(m_term * c)), (ga, gb, gc))

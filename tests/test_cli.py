@@ -638,7 +638,8 @@ class TestRunConfigValidation:
         config = RunConfig(corpus_path="x", filters={"year": year, "category": "coal"})
         assert config.filters == {"year": expected, "category": "coal"}
 
-    @pytest.mark.parametrize("year", ["20x5", "2000:", [2000, 2009, 2010], 2005.0, True, None])
+    @pytest.mark.parametrize("year", ["20x5", "2000:", [2000, 2009, 2010], 2005.0, True, None,
+                                      "2009:2000", [2009, 2000]])
     def test_bad_year_filter_rejected(self, year):
         with pytest.raises(ConfigError, match="year filter"):
             RunConfig(corpus_path="x", filters={"year": year})

@@ -373,18 +373,38 @@ class TestFusedBound:
 
 
 class TestInnerSchedule:
-    def test_tolerance_loosens_only_the_first_e_steps(self, rng, monkeypatch):
-        steps = []
+    def test_tolerance_follows_the_last_relative_bound_change(self, tmp_path, monkeypatch):
+        steps, bounds, bound, start = [], [], lda._bound, []
 
         def recording_e_step(*args):
             steps.append(args[-2:])  # (max_trips, tol)
             return _e_step(*args)
 
+        def recording_bound(*args):
+            score, *rest = bound(*args)
+            bounds.append(start.pop() if start else score)
+            return (bounds[-1], *rest)
+
+        def tolerances(tf):
+            steps.clear()
+            bounds.clear()
+            model = fit_lda(tf, LdaConfig(k=4, seed=EXPERIMENT_SEED))
+            assert bounds[1:] == model.elbo_trace  # bounds[0] is the start point's
+            tols = [tol for _, tol in steps]
+            assert len(tols) == len(model.elbo_trace) and tols[0] == 1e-2
+            for t in range(1, len(tols)):
+                change = abs(bounds[t] - bounds[t - 1]) / abs(bounds[t - 1])
+                assert tols[t] == min(1e-2, max(1e-6, 10 * change))
+            assert [cap for cap, _ in steps] == [1000] * len(steps)
+            return tols
+
         monkeypatch.setattr(lda, "_e_step", recording_e_step)
-        model = fit_lda(random_tf(rng), LdaConfig(k=2, max_iter=5, tol=0.0))
-        assert len(model.elbo_trace) == 5
-        assert [tol for _, tol in steps] == [1e-2] * 3 + [1e-6] * 2
-        assert [cap for cap, _ in steps] == [1000] * 5
+        monkeypatch.setattr(lda, "_bound", recording_bound)
+        tf = planted_tf(tmp_path)
+        assert any(1e-6 < tol < 1e-2 for tol in tolerances(tf))
+        # a start bound just below the first E-step's: the second tolerance follows it
+        start.append(bounds[1] * (1 + 1e-5))
+        assert tolerances(tf)[1] < 1e-3
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_planted_bound_no_lower_than_flat_cap(self, tmp_path, monkeypatch, k):
