@@ -7,7 +7,9 @@ exact coordinate-ascent step on it, and the trace is non-decreasing for
 any number of inner updates.  An E-step stops each document at a tolerance
 that follows the outer progress (inexact coordinate ascent), loosest in the
 first (Hoffman, Blei & Bach 2010): gamma fitted tightly to the random
-starting lambda settles in a poor basin.  Both priors are 1/K.
+starting lambda settles in a poor basin.  A cap of 12 updates binds the
+first E-steps: a straggler resumes from its warm gamma in the next E-step
+instead of holding each one open.  Both priors are 1/K.
 
 The E-step holds K-major arrays, topics down and documents or stored
 entries across, one row block of at most ``_BLOCK_FLOATS / K`` stored
@@ -18,10 +20,11 @@ of blocks.
 
 The bound's word term, sum n_dw log phinorm_dw at (gamma_t, lambda_{t+1}),
 takes the phinorm that the next E-step's first trip starts from: it is
-computed once after each M-step.  E[log theta] is shifted by each
-document's maximum before ``exp``, so phinorm cannot underflow into its
-1e-100 floor; the shift cancels in the gamma update and the bound adds
-it back.
+computed once after each M-step, as psi(gamma) and exp(E[log theta]) are
+once after each E-step, for both the statistics and the bound.
+E[log theta] is shifted by each document's maximum before ``exp``, so
+phinorm cannot underflow into its 1e-100 floor; the shift cancels in the
+gamma update and the bound adds it back.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ __all__ = ["LdaConfig", "LdaModel", "fit_lda", "lda_elbo"]
 
 # A document's inner updates stop after _INNER_MAX_ITER, or once its mean |gamma change| is below
 # tol times its mean gamma; tol is _INNER_TOL_SCALE x the last relative bound change, clamped.
-_INNER_MAX_ITER, _INNER_TOL, _INNER_TOL_EARLY, _INNER_TOL_SCALE = 1000, 1e-6, 1e-2, 10
+# Cap 12: planted K=2 ends below the flat 1e-6 fit at caps 6, 8 and 14; 16 runs 212 iterations.
+_INNER_MAX_ITER, _INNER_TOL, _INNER_TOL_EARLY, _INNER_TOL_SCALE = 12, 1e-6, 1e-2, 10
 # Bound on K times a row block's stored entries; a longer row is a block alone.
 _BLOCK_FLOATS = 2**20
 
@@ -72,18 +76,18 @@ class LdaModel:
     lambda_: np.ndarray = field(repr=False, default=None)
 
 
-def _validate_tf(tf: DocTermMatrix) -> sp.csr_matrix:
+def _validate_tf(tf: DocTermMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
     if tf.weighting != "tf":
         raise ValueError(f"LDA requires raw term counts, got weighting {tf.weighting!r}")
     mat = tf.values.tocsr()
     check_nonnegative(mat, "TF counts", tf.doc_ids)
     if mat.nnz and np.any(mat.data != np.floor(mat.data)):
         raise ValueError("TF matrix must contain integer counts")
-    row_sums = np.asarray(mat.sum(axis=1)).ravel()
-    if np.any(row_sums == 0):
-        empty = [tf.doc_ids[i] for i in np.flatnonzero(row_sums == 0)]
+    lengths = np.asarray(mat.sum(axis=1)).ravel()
+    if np.any(lengths == 0):
+        empty = [tf.doc_ids[i] for i in np.flatnonzero(lengths == 0)]
         raise ValueError(f"all-zero TF rows must be filtered upstream: {', '.join(empty)}")
-    return mat
+    return mat, lengths
 
 
 def _blocks(indptr, k: int) -> list[tuple]:
@@ -100,10 +104,10 @@ def _colsum(x: np.ndarray) -> np.ndarray:
     return x.sum(axis=0) if x.shape[1] > 1 else np.add.accumulate(x)[-1]
 
 
-def _exp_elog_theta(gamma: np.ndarray) -> np.ndarray:
-    """exp(E[log theta]) of (K, n) gamma, each column shifted by its maximum."""
+def _psi_theta(gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi(gamma) and exp(E[log theta]) of (K, n) gamma, each column shifted by its maximum."""
     p = psi(gamma)  # psi(sum gamma) is the same for every topic: the shift drops it
-    return np.exp(p - p.max(axis=0))
+    return p, np.exp(p - p.max(axis=0))
 
 
 def _phinorm(theta, lengths, betad) -> np.ndarray:
@@ -123,21 +127,21 @@ def _phinorm_at(mat, blocks, theta, expElogbeta) -> np.ndarray:
     return phinorm
 
 
-def _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips, tol):
-    """Coordinate ascent on (K, D) gamma, in place, from phinorm there: (sstats, updates)."""
+def _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips, tol) -> int:
+    """Coordinate ascent on (K, D) gamma, in place, from phinorm there; returns the updates."""
     updates = 0
     for start, stop, lo, hi in blocks:
         docs, lengths = np.arange(start, stop), np.diff(mat.indptr[start:stop + 1])
         starts = mat.indptr[start:stop] - lo  # reduceat: no row is empty (_validate_tf)
         cts, betad = mat.data[lo:hi], expElogbeta.take(mat.indices[lo:hi], axis=1)
         g, ph = gamma[:, start:stop], phinorm[lo:hi]
-        th = _exp_elog_theta(g)
+        th = _psi_theta(g)[1]
         for trip in range(max_trips):
             new = alpha + th * np.add.reduceat(betad * (cts / ph), starts, axis=1)
             updates += len(docs)
             # mean |change| >= tol * mean gamma, over the same K topics; all stop at the cap
             moving = (_colsum(abs(new - g)) >= tol * _colsum(new)) & (trip + 1 < max_trips)
-            g, th = new, _exp_elog_theta(new)
+            g, th = new, _psi_theta(new)[1]
             n_moving = np.count_nonzero(moving)
             if n_moving < len(docs):
                 # compress copies columns several times faster than a boolean index
@@ -150,22 +154,24 @@ def _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips, tol):
                 betad = betad.compress(kept, axis=1)
                 starts = np.cumsum(lengths) - lengths
             ph = _phinorm(th, lengths, betad)
-    theta = _exp_elog_theta(gamma)
-    phinorm = _phinorm_at(mat, blocks, theta, expElogbeta)
-    ratio = sp.csr_matrix((mat.data / phinorm, mat.indices, mat.indptr), shape=mat.shape)
-    return (ratio.T @ theta.T).T * expElogbeta, updates
+    return updates
 
 
-def _bound(mat, blocks, gamma, lam, alpha, beta):
+def _sstats(mat, blocks, ratio, theta, expElogbeta) -> np.ndarray:
+    """(K, V) sufficient statistics at theta; ratio (mat's pattern) gets n / phinorm as data."""
+    np.divide(mat.data, _phinorm_at(mat, blocks, theta, expElogbeta), out=ratio.data)
+    return (ratio.T @ theta.T).T * expElogbeta
+
+
+def _bound(mat, blocks, gamma, lam, alpha, beta, lengths, psi_theta):
     """Evidence lower bound at ((K, D) gamma, lam), with exp(E[log beta]) and phinorm there."""
     (k, n_docs), n_terms = gamma.shape, lam.shape[1]
-    Elogtheta = psi(gamma) - psi(np.sum(gamma, axis=0))  # E[log theta] and E[log beta]
-    Elogbeta = psi(lam) - psi(np.sum(lam, axis=1, keepdims=True))
+    (p, theta), psi_sum = psi_theta, psi(np.sum(gamma, axis=0))  # E[log theta], E[log beta]
+    Elogtheta, Elogbeta = p - psi_sum, psi(lam) - psi(np.sum(lam, axis=1, keepdims=True))
     expElogbeta = np.exp(Elogbeta)
-    phinorm = _phinorm_at(mat, blocks, _exp_elog_theta(gamma), expElogbeta)
+    phinorm = _phinorm_at(mat, blocks, theta, expElogbeta)
     # sum n_dw log phinorm_dw, each document's shift max_k E[log theta_dk] added back
-    doc_lengths = np.asarray(mat.sum(axis=1)).ravel()
-    score = float(mat.data @ np.log(phinorm)) + float(doc_lengths @ Elogtheta.max(axis=0))
+    score = float(mat.data @ np.log(phinorm)) + float(lengths @ (p.max(axis=0) - psi_sum))
     # E[log p(theta | alpha)] - E[log q(theta | gamma)]
     score += float(np.sum((alpha - gamma) * Elogtheta))
     score += float(np.sum(gammaln(gamma)) - np.sum(gammaln(np.sum(gamma, axis=0))))
@@ -184,24 +190,26 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
     identical inputs and seed give bitwise-identical output.  A model that
     hits ``max_iter`` without meeting ``tol`` has ``converged=False``.
     """
-    mat = _validate_tf(tf)
+    mat, lengths = _validate_tf(tf)
     n_docs, n_terms = mat.shape
     check_k(config.k, n_docs, f"document count {n_docs}")
     alpha = beta = 1.0 / config.k
     lam = np.random.default_rng(config.seed).gamma(100.0, 0.01, (config.k, n_terms))
     # Every topic gets an equal share of each document; gamma is (K, D) until the end.
-    gamma = alpha + np.tile(np.asarray(mat.sum(axis=1)).T / config.k, (config.k, 1))
+    gamma = alpha + np.tile(lengths / config.k, (config.k, 1))
     blocks = _blocks(mat.indptr, config.k)
-    prev, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta)
+    ratio = sp.csr_matrix((np.empty(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
+    prev, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta, lengths,
+                                        _psi_theta(gamma))
 
-    trace, converged, inner_updates, change = [], False, 0, np.inf
+    trace, converged, updates, change = [], False, 0, np.inf
     for iteration in range(config.max_iter):
         tol = min(_INNER_TOL_EARLY, max(_INNER_TOL, _INNER_TOL_SCALE * change))
-        sstats, updates = _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha,
-                                  _INNER_MAX_ITER, tol)
-        inner_updates += updates
-        lam = beta + sstats
-        bound, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta)
+        updates += _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, _INNER_MAX_ITER, tol)
+        psi_theta = _psi_theta(gamma)  # one theta for the statistics and the bound
+        lam = beta + _sstats(mat, blocks, ratio, psi_theta[1], expElogbeta)
+        bound, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta, lengths,
+                                             psi_theta)
         if not (np.isfinite(bound) and np.all(np.isfinite(gamma)) and np.all(np.isfinite(lam))):
             raise RuntimeError(f"LDA update produced NaN/Inf at iteration {iteration + 1}")
         trace.append(bound)
@@ -214,16 +222,17 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
     return LdaModel(
         doc_topic=gamma / gamma.sum(axis=1, keepdims=True),
         topic_term=lam / lam.sum(axis=1, keepdims=True), elbo_trace=trace, alpha=alpha,
-        beta=beta, converged=converged, inner_updates=inner_updates, gamma_=gamma, lambda_=lam,
+        beta=beta, converged=converged, inner_updates=updates, gamma_=gamma, lambda_=lam,
     )
 
 
 def lda_elbo(model: LdaModel, tf: DocTermMatrix) -> float:
     """Recompute the variational bound of a fitted model on a TF matrix."""
-    mat = _validate_tf(tf)
+    mat, lengths = _validate_tf(tf)
     if model.gamma_.shape[0] != mat.shape[0] or model.lambda_.shape[1] != mat.shape[1]:
         raise ValueError(f"model shape ({model.gamma_.shape[0]}, {model.lambda_.shape[1]}) "
                          f"does not match matrix shape {mat.shape}")
     gamma = np.ascontiguousarray(model.gamma_.T)
     blocks = _blocks(mat.indptr, gamma.shape[0])
-    return _bound(mat, blocks, gamma, model.lambda_, model.alpha, model.beta)[0]
+    return _bound(mat, blocks, gamma, model.lambda_, model.alpha, model.beta, lengths,
+                  _psi_theta(gamma))[0]

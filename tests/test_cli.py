@@ -227,7 +227,7 @@ class TestRunExperiment:
         manifest = run_experiment(config)
         doc_rows = read_csv_rows(tmp_path / "out" / "lda" / "k2" / "doc_topic.csv")
         assert len(doc_rows) == manifest.digest["documents_in_matrices"]
-        header = open(tmp_path / "out" / "lda" / "k2" / "topic_term.csv").readline()
+        header = (tmp_path / "out" / "lda" / "k2" / "topic_term.csv").read_text().splitlines()[0]
         assert len(header.strip().split(",")) - 1 == manifest.digest["vocabulary_size"]
 
     def test_k1_cell_records_notice(self, tmp_path):
