@@ -371,6 +371,7 @@ def run_experiment(config: RunConfig) -> RunManifest:
         vocab, tf = count_terms([t for t in tokenized if not t.is_empty], min_df=config.min_df)
     except ValueError as exc:
         raise CorpusError(str(exc)) from exc
+    del tokenized  # not needed past the count: the fits can reuse its memory
     has_term = np.diff(tf.values.indptr) > 0  # min_df can leave a document no term
     dropped_oov = [doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if not ok]
     if dropped_oov:

@@ -5,6 +5,10 @@ lists of stems, produced by tokenisation, stop-word removal and Porter
 stemming, in that order.  Stop-word removal runs before stemming, so
 inflected forms of stop-words ("reporting") survive the filter; this is
 deliberate and matched by the tests.
+
+A text is split into runs of letters and digits in one C-level pass; each
+distinct run then goes through every token rule, the stop-word filter and the
+stemmer once, in one memo, so no Python code runs per token.
 """
 
 from __future__ import annotations
@@ -83,8 +87,7 @@ EXTRA_STOPWORDS = frozenset({
 def load_base_stopwords() -> frozenset[str]:
     """Read the vendored 179-word English stop-word list."""
     data = resources.files("topickit.data").joinpath("stopwords_en.txt").read_text("utf-8")
-    words = frozenset(line.strip() for line in data.splitlines() if line.strip())
-    return words
+    return frozenset(line.strip() for line in data.splitlines() if line.strip())
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,15 @@ def _word_set(name: str, words) -> frozenset[str]:
 
 # Maximal runs of Unicode letters or digits; underscores and punctuation split.
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
-_ASCII_WORD_RE = re.compile(r"(?<![a-z0-9])[a-z]{3,}(?![a-z0-9])", re.ASCII)  # whole letter runs
+# ASCII: letters lowercased, digits folded to "0" (no memo entry per number), the rest spaces.
+_ASCII_RUNS = str.maketrans({chr(c): chr(c).lower() if chr(c).isalpha() else
+                             "0" if chr(c).isdigit() else " " for c in range(128)})
+
+
+def _runs(text: str) -> list[str]:
+    if text.isascii():
+        return text.translate(_ASCII_RUNS).split()
+    return _WORD_RE.findall(text)  # not lowercased first: "İ".lower() adds a U+0307
 
 
 def tokenize(text: str) -> list[str]:
@@ -129,20 +140,9 @@ def tokenize(text: str) -> list[str]:
     token.  Punctuation and underscores never appear in the output, and
     surviving tokens are lowercased before the length filter.
 
-    ASCII text is lowercased once and split by one regex, with the same result;
-    a text with even one other character takes the slower loop below.
+    ``preprocess`` applies the same rule, once per distinct run (``_StemMemo``).
     """
-    if text.isascii():
-        return _ASCII_WORD_RE.findall(text.lower())
-    out = []
-    for token in _WORD_RE.findall(text):
-        # No digit is alphabetic, so only a token with a non-letter is scanned.
-        if not token.isalpha() and any(ch.isdigit() for ch in token):
-            continue
-        token = token.lower()
-        if len(token) >= 3:
-            out.append(token)
-    return out
+    return list(filter(None, map(_TokenMemo().__getitem__, _runs(text))))
 
 
 def remove_stopwords(tokens: list[str], stops: StopwordList) -> list[str]:
@@ -161,18 +161,33 @@ def preprocess(doc: RawDocument, stops: StopwordList | None = None) -> Tokenized
     return _preprocess(doc, _StemMemo.fromkeys(stops.base | stops.extra))
 
 
-class _StemMemo(dict):
-    """Token -> stem, filled on first lookup; ``fromkeys(stop-words)`` maps each
-    stop-word to None, so one lookup filters and stems.  ``stem`` is pure, so a
-    memo changes no output; it lives for one call, not the process."""
+class _TokenMemo(dict):
+    """Run -> lowercase token, or None for a run ``tokenize`` drops.  A run not in
+    lowercase resolves through its lowercase form, so a stop-word seeded as None drops it."""
 
-    def __missing__(self, token: str) -> str:
-        self[token] = stemmed = stem(token)
-        return stemmed
+    def __missing__(self, run: str) -> str | None:
+        if not run.isalpha() and any(map(str.isdigit, run)):
+            self[run] = None
+        elif (lower := run.lower()) != run:
+            self[run] = self[lower]
+        else:
+            self[run] = self._keep(run) if len(run) >= 3 else None
+        return self[run]
+
+    _keep = staticmethod(lambda token: token)
+
+
+class _StemMemo(_TokenMemo):
+    """Run -> stem or None, so one lookup tokenises, drops stop-words and stems.
+    ``stem`` is pure, so a memo changes no output; it lives for one call, not the
+    process.  A word that stems to itself keeps the key object as its value."""
+
+    def _keep(self, token: str) -> str:
+        return stem(token)
 
 
 def _preprocess(doc: RawDocument, stems: _StemMemo) -> TokenizedDocument:
-    tokens = tuple(s for s in map(stems.__getitem__, tokenize(doc.text)) if s is not None)
+    tokens = tuple(filter(None, map(stems.__getitem__, _runs(doc.text))))
     return TokenizedDocument(doc_id=doc.doc_id, tokens=tokens)
 
 
@@ -186,16 +201,14 @@ def preprocess_corpus(
     """
     if stops is None:
         stops = StopwordList()
-    # Most tokens repeat (about 17k distinct in 166k at 1000 report-like
-    # documents), so each distinct token is stemmed once per call.
+    # Most runs repeat (about 17k distinct tokens in 166k at 1000 report-like
+    # documents), so each distinct run is judged and stemmed once per call.
     stems = _StemMemo.fromkeys(stops.base | stops.extra)
     tokenized = [_preprocess(d, stems) for d in docs]
     empty_ids = [t.doc_id for t in tokenized if t.is_empty]
     if empty_ids:
-        logger.warning(
-            "%d document(s) empty after preprocessing: %s",
-            len(empty_ids), ", ".join(empty_ids),
-        )
+        logger.warning("%d document(s) empty after preprocessing: %s",
+                       len(empty_ids), ", ".join(empty_ids))
     return tokenized, empty_ids
 
 

@@ -64,9 +64,11 @@ def write_factor_csv(
     """Write a numeric factor matrix with a leading id column, as ``write_csv``
     would, with each row's numbers formatted by one ``%`` of sig12's format."""
     matrix = np.asarray(matrix)
-    k = matrix.shape[1]
+    n, k = matrix.shape
     if column_names is None:
         column_names = [f"topic_{j}" for j in range(k)]
+    if len(row_ids) != n or len(column_names) != k:  # zip would cut the rows short
+        raise ValueError(f"{len(row_ids)} row_ids, {len(column_names)} column_names for {n} x {k}")
     # csv.writer quotes just the ids (padded as in a full row); CPython's calls write once a row.
     lines, values, pad = [], matrix.tolist(), ("",) if k else ()
     writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")

@@ -8,7 +8,8 @@ length <= 2 untouched.  Output agrees with the widely circulated
 reference vocabulary/output word lists (see tests/fixtures).
 
 The stemmer is a pure function of its input: no state survives a call.
-Steps 2-4 look up their rules by the word's last letter (tables built once).
+Steps 2-4 look up their rules by the word's last letter (tables built once)
+and test all of them with one ``str.endswith`` before the scan.
 """
 
 from __future__ import annotations
@@ -40,28 +41,19 @@ def _measure(stem: str) -> int:
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    # A "y" after the first letter follows a consonant, or a "y" that follows one.
+    return not _VOWELS.isdisjoint(stem) or "y" in stem[1:]
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _is_consonant(word, len(word) - 1)
 
 
 def _ends_cvc(word: str) -> bool:
-    # consonant-vowel-consonant where the final consonant is not w, x or y.
-    n = len(word)
-    if n < 3:
-        return False
-    return (
-        _is_consonant(word, n - 3)
-        and not _is_consonant(word, n - 2)
-        and _is_consonant(word, n - 1)
-        and word[-1] not in "wxy"
-    )
+    # consonant-vowel-consonant where the final consonant is not w, x or y (so not a
+    # vowel either); the middle letter is a vowel when the first is a consonant.
+    return (len(word) >= 3 and word[-1] not in "aeiouwxy" and word[-2] in "aeiouy"
+            and _is_consonant(word, len(word) - 3))
 
 
 # (suffix, replacement) pairs; within each table the first matching suffix
@@ -109,20 +101,23 @@ _STEP4_SUFFIXES = (
 
 
 def _by_last_letter(rules) -> dict:
-    """The rules grouped by their suffix's last letter, in table order: only that
-    group can match a word, so its first match is the table's first match."""
+    """The rules grouped by their suffix's last letter, in table order, with the group's
+    suffixes as one tuple: only that group can match, so its first match is the table's."""
     table = {}
     for rule in rules:
         table.setdefault(rule[0][-1], []).append(rule)
-    return table
+    return {last: (tuple(s for s, _ in group), group) for last, group in table.items()}
 
 
 _STEP2 = _by_last_letter(_STEP2_RULES)
 _STEP3 = _by_last_letter(_STEP3_RULES)
 _STEP4 = _by_last_letter((suffix, "") for suffix in _STEP4_SUFFIXES)
+_NONE = ((), ())  # no rule for the last letter; ``endswith(())`` is False
 
 
 def _step1ab(word: str) -> str:
+    if word[-1:] not in "sdg":  # no rule below can match
+        return word
     if word.endswith("s"):
         if word.endswith("sses"):
             word = word[:-2]
@@ -151,31 +146,23 @@ def _step1b_cleanup(stem: str) -> str:
 
 
 def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        word = word[:-1] + "i"
-    return word
+    return word[:-1] + "i" if word.endswith("y") and _has_vowel(word[:-1]) else word
 
 
-def _replace_suffix(word: str, table: dict) -> str:
-    for suffix, repl in table.get(word[-1:], ()):
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if _measure(stem) > 0:
-                return stem + repl
-            return word
+def _replace_suffix(word: str, table: dict, min_measure: int = 0) -> str:
+    suffixes, rules = table.get(word[-1:], _NONE)
+    if word.endswith(suffixes):
+        for suffix, repl in rules:
+            if word.endswith(suffix):
+                stem = word[: -len(suffix)]
+                if _measure(stem) > min_measure and (suffix != "ion" or stem.endswith(("s", "t"))):
+                    return stem + repl
+                return word
     return word
 
 
 def _step4(word: str) -> str:
-    for suffix, _ in _STEP4.get(word[-1:], ()):
-        if word.endswith(suffix):
-            stem = word[: -len(suffix)]
-            if suffix == "ion" and not stem.endswith(("s", "t")):
-                return word
-            if _measure(stem) > 1:
-                return stem
-            return word
-    return word
+    return _replace_suffix(word, _STEP4, 1)  # "ion" goes only after "s" or "t"
 
 
 def _step5(word: str) -> str:
@@ -196,10 +183,6 @@ def stem(token: str) -> str:
     """
     if len(token) <= 2:
         return token
-    word = _step1ab(token)
-    word = _step1c(word)
-    word = _replace_suffix(word, _STEP2)
-    word = _replace_suffix(word, _STEP3)
-    word = _step4(word)
-    word = _step5(word)
-    return word
+    word = _step1c(_step1ab(token))
+    word = _replace_suffix(_replace_suffix(word, _STEP2), _STEP3)
+    return _step5(_step4(word))

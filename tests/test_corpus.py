@@ -235,6 +235,44 @@ class TestPreprocess:
         assert preprocess(RawDocument("r", "c", "Drill drilling thes the"), stops).tokens \
             == ("drill", "the")
 
+    def test_matches_composed_stages_on_random_text(self, rng):
+        # Half the texts are ASCII (the translate-and-split runs), half are not
+        # (the Unicode regex): separators str.split() and the regex both see,
+        # "İ" and a final sigma that lowercase by context, and stop-words in any case.
+        ascii_pieces = [*string.ascii_letters, *string.digits, *string.punctuation,
+                        "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " ", " ",
+                        "The", "AND", "the", "Drilling", "reports", "coal", "Seams", "x2"]
+        pieces = ascii_pieces + TOKENIZER_ALPHABET + ["\u00a0", "\u2028", "ΟΔΟΣ", "İ"]
+        stops = StopwordList()
+        docs, expected = [], []
+        for d in range(400):
+            pool = ascii_pieces if d % 2 else pieces
+            text = "".join(pool[i] for i in rng.integers(0, len(pool), int(rng.integers(1, 80))))
+            text = text if text.strip() else text + "z"
+            docs.append(RawDocument(f"r{d}", "c1", text))
+            expected.append(tuple(map(stem, remove_stopwords(tokenize_oracle(text), stops))))
+        assert sum(doc.text.isascii() for doc in docs) >= 200
+        tokenized, _ = preprocess_corpus(docs, stops)
+        assert [t.tokens for t in tokenized] == expected
+        assert [preprocess(doc, stops).tokens for doc in docs] == expected
+        kept = sum(map(len, expected))  # some tokens kept, some stop-words dropped
+        assert 500 < kept < sum(len(tokenize_oracle(doc.text)) for doc in docs)
+
+    def test_stem_called_once_per_distinct_kept_token(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr("topickit.corpus.stem", lambda token: calls.append(token) or token)
+        docs = [RawDocument("r1", "c1", "Drilling drilling DRILLING, the coal 2nd x2 The"),
+                RawDocument("r2", "c1", "drilling Coal coal-seam seams Café CAFÉ café ab"),
+                RawDocument("r3", "c1", "Seams 25 °C the drilling")]
+        tokenized, _ = preprocess_corpus(docs)
+        assert sorted(calls) == sorted({"drilling", "coal", "seam", "seams", "café"})
+        assert tokenized[0].tokens == ("drilling",) * 3 + ("coal",)
+
+    def test_mixed_case_stopword_dropped(self):
+        doc = RawDocument("r1", "c1", "The coal THE seam tHe")
+        assert preprocess(doc).tokens == ("coal", "seam")
+        assert preprocess_corpus([doc])[0][0].tokens == ("coal", "seam")
+
 
 class TestRawDocument:
     def test_empty_text_rejected(self):

@@ -53,3 +53,14 @@ def test_write_factor_csv_matches_write_csv(tmp_path, row_ids, matrix):
     write_factor_csv(tmp_path / "d.csv", "id", row_ids, matrix)
     write_csv(tmp_path / "v.csv", ["id", *(f"topic_{j}" for j in range(len(names)))], rows)
     assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "v.csv").read_bytes()
+
+
+@pytest.mark.parametrize("row_ids, names, counts", [
+    (["d1", "d2"], None, "2 row_ids, 3 column_names for 3 x 3"),  # zip would drop a row
+    (["d1", "d2", "d3"], ["a", "b"], "3 row_ids, 2 column_names for 3 x 3"),  # short header
+    (["d1", "d2", "d3", "d4"], ["a", "b", "c", "d"], "4 row_ids, 4 column_names for 3 x 3"),
+])
+def test_write_factor_csv_rejects_mismatched_labels(tmp_path, row_ids, names, counts):
+    with pytest.raises(ValueError, match=f"^{counts}$"):
+        write_factor_csv(tmp_path / "f.csv", "id", row_ids, np.ones((3, 3)), column_names=names)
+    assert not list(tmp_path.iterdir())

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import time
@@ -11,6 +12,9 @@ from topickit.porter import (
     _STEP3,
     _STEP3_RULES,
     _STEP4_SUFFIXES,
+    _ends_cvc,
+    _has_vowel,
+    _is_consonant,
     _measure,
     _replace_suffix,
     _step4,
@@ -105,6 +109,25 @@ def test_measure_matches_spec_on_fixture_words():
     words = {w for pair in load_reference() for w in pair}
     mismatches = [w for w in words if _measure(w) != measure_oracle(w)]
     assert mismatches == []
+
+
+def words_over(letters, max_len):
+    for n in range(max_len + 1):
+        yield from map("".join, itertools.product(letters, repeat=n))
+
+
+def test_has_vowel_matches_per_letter_definition():
+    # "y" next to vowels, to consonants and to other "y"s, at every position.
+    for word in words_over("aeybc", 6):
+        assert _has_vowel(word) == any(not _is_consonant(word, i) for i in range(len(word))), word
+
+
+def test_ends_cvc_matches_per_letter_definition():
+    for word in words_over("aybcwx", 5):
+        n = len(word)
+        cvc = (n >= 3 and _is_consonant(word, n - 3) and not _is_consonant(word, n - 2)
+               and _is_consonant(word, n - 1) and word[-1] not in "wxy")
+        assert _ends_cvc(word) == cvc, word
 
 
 def scan_replace(word, rules):
