@@ -24,13 +24,14 @@ import json
 import logging
 import numbers
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import LOADERS, CorpusError, RawDocument, StopwordList, load_corpus, preprocess_corpus
+from .corpus import (LOADERS, CorpusError, RawDocument, StopwordList, has_lone_surrogate,
+                     load_corpus, preprocess_corpus)
 from .evaluate import build_report
 from .export import write_csv, write_factor_csv, write_json
 from .lda import LdaConfig, fit_lda
@@ -76,14 +77,10 @@ def _parse_k_values(text: str) -> tuple[int, ...]:
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
-            values = tuple(range(int(lo), int(hi) + 1))
-        else:
-            values = tuple(int(v) for v in text.split(",") if v)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(v) for v in text.split(",") if v)
     except ValueError:
-        raise ConfigError(f"cannot parse K values from {text!r}") from None
-    if not values:
-        raise ConfigError(f"no K values in {text!r}")
-    return values
+        raise ConfigError(f"cannot parse k_values from {text!r}") from None
 
 
 def _year_range(value) -> tuple[int, int]:
@@ -98,44 +95,78 @@ def _year_range(value) -> tuple[int, int]:
     return int(years[0]), int(years[-1])
 
 
+def _filter_pair(text: str) -> list[str]:
+    if "=" not in text:
+        raise argparse.ArgumentTypeError(f"expects KEY=VALUE, got {text!r}")
+    return text.split("=", 1)
+
+
+def _setting(default=MISSING, flag=None, help=None, low=None, **argparse_kw):
+    """A RunConfig field declaring its flag, help and other argparse keywords and, for a
+    number, the floor that ``check_setting`` holds it to; its kind is the flag's type."""
+    metadata = {"flag": flag, "low": low, "argparse": {"help": help, **argparse_kw}}
+    if isinstance(default, dict):
+        return field(default_factory=dict, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
-    """One sweep's settings, checked and normalised on construction.
-
-    ``methods``, ``k_values`` and ``extra_stopwords`` also take the
+    """One sweep's settings, each declared once by its field, checked and normalised on
+    construction.  ``methods``, ``k_values`` and ``extra_stopwords`` also take the
     command line's string forms ("lda,nmf", "2:6" or "2,3,4", "coal,drill").
     """
 
-    corpus_path: str
-    corpus_format: str = "jsonl"
-    methods: tuple[str, ...] = KNOWN_METHODS
-    k_values: tuple[int, ...] = (2, 3, 4, 5, 6)
-    seed: int = 0
-    min_df: int = 1
-    out_dir: str = "out"
-    filters: dict = field(default_factory=dict)
-    extra_stopwords: tuple[str, ...] = ()
-    select_margin: float = 0.02
-    n_keywords: int = 30
-    lda: dict = field(default_factory=dict)  # solver overrides, keys in SOLVER_KEYS
-    nmf: dict = field(default_factory=dict)
-    ntf: dict = field(default_factory=dict)
+    corpus_path: str = _setting(flag="--corpus", help="corpus path (JSONL file or text directory)")
+    corpus_format: str = _setting("jsonl", "--format", "corpus format", choices=tuple(LOADERS))
+    methods: tuple[str, ...] = _setting(KNOWN_METHODS, "--methods", "comma list from lda,nmf,ntf")
+    k_values: tuple[int, ...] = _setting((2, 3, 4, 5, 6), "--k",
+                                         "topic counts: comma list '2,3,4' or range '2:6'")
+    seed: int = _setting(0, "--seed", "random seed", low=0, type=int)
+    min_df: int = _setting(1, "--min-df", "minimum document frequency", low=1, type=int)
+    out_dir: str = _setting("out", "--out", "output directory")
+    filters: dict = _setting({}, "--filter", "metadata filter: year=A[:B], category=..., "
+                             "report_type=...", type=_filter_pair, action="append",
+                             metavar="KEY=VALUE")
+    extra_stopwords: tuple[str, ...] = _setting((), "--extra-stopwords",
+                                                "comma list of additional stop-words")
+    select_margin: float = _setting(0.02, "--margin", "silhouette margin for best-K candidates",
+                                    low=0, type=float)
+    n_keywords: int = _setting(30, "--keywords", "keyword list length (default 30)", low=1,
+                               type=int)
+    lda: dict = _setting({})  # solver overrides, keys in SOLVER_KEYS
+    nmf: dict = _setting({})
+    ntf: dict = _setting({})
 
     def __post_init__(self):
         self.methods = _comma_list("methods", self.methods)
         self.extra_stopwords = _comma_list("extra_stopwords", self.extra_stopwords)
         self.k_values = (_parse_k_values(self.k_values) if isinstance(self.k_values, str)
                          else _comma_list("k_values", self.k_values))
-        if not self.methods:
-            raise ConfigError("at least one method is required")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ConfigError(f"unknown method(s): {', '.join(map(str, unknown))}")
-        if not self.k_values:
-            raise ConfigError("at least one K value is required")
-        for name in ("corpus_path", "corpus_format", "out_dir"):
-            if not isinstance(getattr(self, name), str):
-                raise ConfigError(f"{name} must be a string")
+        try:  # the library's own checks and wording, each failure one ConfigError
+            for f in fields(self):
+                value, low = getattr(self, f.name), f.metadata["low"]
+                if f.type == "str" and not isinstance(value, str):
+                    raise ConfigError(f"{f.name} must be a string")
+                if low is not None:
+                    check_setting(f.name, value, low, f.metadata["argparse"]["type"] is int)
+            for k in self.k_values:
+                check_k(k)
+            for method, keys in SOLVER_KEYS.items():
+                overrides = getattr(self, method)
+                if not isinstance(overrides, dict):
+                    raise ConfigError(f"{method} must be an object of solver settings")
+                for key, value in overrides.items():
+                    if key not in keys:
+                        raise ConfigError(f"unknown solver setting {method}.{key}; "
+                                          f"{method} takes {', '.join(keys)}")
+                    cap = key != "tol"  # an iteration cap is an integer >= 1, tol a number >= 0
+                    check_setting(f"{method}.{key}", value, 1 if cap else 0, integer=cap)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.corpus_format not in LOADERS:
             raise ConfigError(f"corpus_format must be one of {', '.join(LOADERS)}, "
                               f"got {self.corpus_format!r}")
@@ -152,29 +183,11 @@ class RunConfig:
         if not all(isinstance(word, str) for word in self.extra_stopwords):
             raise ConfigError(f"extra_stopwords must be a list of strings, "
                               f"got {list(self.extra_stopwords)!r}")
-
-        try:  # the library's own checks and wording, each failure one ConfigError
-            for k in self.k_values:
-                check_k(k)
-            for name, low in (("seed", 0), ("min_df", 1), ("n_keywords", 1)):
-                check_setting(name, getattr(self, name), low)
-            check_setting("select_margin", self.select_margin, 0, integer=False)
-            for method, keys in SOLVER_KEYS.items():
-                overrides = getattr(self, method)
-                if not isinstance(overrides, dict):
-                    raise ConfigError(f"{method} must be an object of solver settings")
-                for key, value in overrides.items():
-                    if key not in keys:
-                        raise ConfigError(f"unknown solver setting {method}.{key}; "
-                                          f"{method} takes {', '.join(keys)}")
-                    cap = key != "tol"  # an iteration cap is an integer >= 1, tol a number >= 0
-                    check_setting(f"{method}.{key}", value, 1 if cap else 0, integer=cap)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         self.k_values = tuple(int(k) for k in self.k_values)
-        # A repeat would run and write the same cell twice.
         for name, values in (("methods", self.methods), ("k_values", self.k_values)):
-            if len(set(values)) < len(values):
+            if not values:
+                raise ConfigError(f"{name} must hold at least one value")
+            if len(set(values)) < len(values):  # a repeat would run and write a cell twice
                 raise ConfigError(f"{name} repeats a value: {values!r}")
 
 
@@ -348,7 +361,8 @@ def _stale_cells(out_dir: Path, ok_rows: list[dict]) -> list[str]:
 
 
 def run_experiment(config: RunConfig) -> RunManifest:
-    """Run the full sweep and write all artifacts under ``config.out_dir``."""
+    """Run the full sweep and write all artifacts under ``config.out_dir``, which is made
+    before the first fit: ConfigError if it cannot be."""
     out_dir = Path(config.out_dir)
     notices: list[str] = []
 
@@ -396,6 +410,10 @@ def run_experiment(config: RunConfig) -> RunManifest:
         tf.shape[0], tensor.shape[1], len(vocab),
     )
 
+    try:  # not earlier, so that a bad corpus leaves nothing behind
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise ConfigError(f"out_dir cannot be made: {exc}") from None
     results = [
         _run_cell(m, k, bundle, config, out_dir) for m in config.methods for k in config.k_values
     ]
@@ -458,84 +476,59 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_filters(pairs: list[str]) -> dict:
-    filters: dict = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"--filter expects key=value, got {pair!r}")
-        key, value = pair.split("=", 1)
-        filters[key] = value
-    return filters
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="topickit",
         description="Sweep LDA / NMF / tensor topic models over a corpus and compare them.",
         argument_default=argparse.SUPPRESS,
     )
-    # Every flag but --config sets the RunConfig field named by its dest, and
-    # only when given; RunConfig parses and checks the value.
     parser.add_argument("--config", default=None,
                         help="JSON config file; flags override its values")
-    parser.add_argument("--corpus", dest="corpus_path",
-                        help="corpus path (JSONL file or text directory)")
-    parser.add_argument("--format", dest="corpus_format", choices=tuple(LOADERS),
-                        help="corpus format")
-    parser.add_argument("--methods", dest="methods", help="comma list from lda,nmf,ntf")
-    parser.add_argument("--k", dest="k_values",
-                        help="topic counts: comma list '2,3,4' or range '2:6'")
-    parser.add_argument("--seed", dest="seed", type=int, help="random seed")
-    parser.add_argument("--min-df", dest="min_df", type=int, help="minimum document frequency")
-    parser.add_argument("--out", dest="out_dir", help="output directory")
-    parser.add_argument("--filter", dest="filters", action="append", metavar="KEY=VALUE",
-                        help="metadata filter: year=A[:B], category=..., report_type=...")
-    parser.add_argument("--extra-stopwords", dest="extra_stopwords",
-                        help="comma list of additional stop-words")
-    parser.add_argument("--margin", dest="select_margin", type=float,
-                        help="silhouette margin for best-K candidates")
-    parser.add_argument("--keywords", dest="n_keywords", type=int,
-                        help="keyword list length (default 30)")
+    # Every other flag sets the RunConfig field that declares it, and only when
+    # given; RunConfig parses and checks the value.
+    for f in fields(RunConfig):
+        if f.metadata["flag"]:
+            parser.add_argument(f.metadata["flag"], dest=f.name, **f.metadata["argparse"])
     return parser
 
 
 def _load_config(args) -> RunConfig:
+    flags = vars(args)
     settings: dict = {}
-    if args.config:
-        cfg_path = Path(args.config)
+    if config_file := flags.pop("config"):
+        cfg_path = Path(config_file)
         if not cfg_path.is_file():
             raise ConfigError(f"config file not found: {cfg_path}")
         try:
             settings = json.loads(cfg_path.read_text("utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also huge integers, deep nesting
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(settings, dict):
             raise ConfigError("config file must hold a JSON object")
 
-    flags = {k: v for k, v in vars(args).items() if k != "config"}
-    filters = _parse_filters(flags.pop("filters", []))
+    filters = dict(flags.pop("filters", []))
     settings.update(flags)
+    if filters and isinstance(settings.setdefault("filters", {}), dict):  # else RunConfig says so
+        settings["filters"].update(filters)
+    for key, value in settings.items():  # one would raise when printed or written
+        if has_lone_surrogate(json.dumps([key, value], ensure_ascii=False)):
+            raise ConfigError(f"{ascii(key)[1:-1]} holds a lone surrogate")
+    unknown = [key for key in settings if key not in {f.name for f in fields(RunConfig)}]
+    if unknown:
+        raise ConfigError(f"unknown setting(s): {', '.join(unknown)}")
     if "corpus_path" not in settings:
         raise ConfigError("a corpus is required (--corpus or config file)")
-    try:
-        if filters:
-            settings["filters"] = {**settings.get("filters", {}), **filters}
-        return RunConfig(**settings)
-    except TypeError as exc:
-        raise ConfigError(f"bad config: {exc}") from None
+    return RunConfig(**settings)
 
 
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     logging.getLogger("topickit").setLevel(logging.INFO)
     try:
-        config = _load_config(_build_parser().parse_args(argv))
-    except ConfigError as exc:
+        manifest = run_experiment(_load_config(_build_parser().parse_args(argv)))
+    except ConfigError as exc:  # also an out_dir that cannot be made, found before any fit
         print(f"config error: {exc}")
         return 1
-
-    try:
-        manifest = run_experiment(config)
     except CorpusError as exc:
         print(f"corpus error: {exc}")
         return 2
@@ -544,7 +537,7 @@ def main(argv=None) -> int:
     for cell in failures:
         print(f"cell ({cell['method']}, k={cell['k']}) failed: {cell['error']}")
     outcome = (f"{len(failures)} of {len(manifest.cells)} cells failed; partial results kept"
-               if failures else f"done: artifacts under {config.out_dir}")
+               if failures else f"done: artifacts under {manifest.config['out_dir']}")
     unconverged = sum(c["converged"] is False for c in manifest.cells)
     print(f"{outcome}; {unconverged} cell(s) did not converge")
     return 3 if failures else 0

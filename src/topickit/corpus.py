@@ -247,12 +247,20 @@ def _coerce_year(value) -> int | None:
     raise CorpusError(f"year must be an integer, got {value!r}")
 
 
+def has_lone_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a lone surrogate, legal in JSON ("\\ud800") and in a str but
+    not in UTF-8.  Not a regex: compiling a surrogate range costs 128 KiB of peak RSS."""
+    return not text.isascii() and len(text.encode("utf-8", "ignore").decode()) < len(text)
+
+
 def _document(record: dict, where: str) -> RawDocument:
     """A RawDocument from a record whose fields have the types the formats allow."""
     try:
         for key in ("doc_id", "company_id"):
             if isinstance(record[key], bool) or not isinstance(record[key], (str, int)):
                 raise CorpusError(f"{key} must be a string or an integer, got {record[key]!r}")
+            if has_lone_surrogate(str(record[key])):  # no artifact could name it
+                raise CorpusError(f"{key} holds a lone surrogate, got {record[key]!r}")
         if not isinstance(record["text"], str):
             raise CorpusError(f"text must be a string, got {record['text']!r}")
         for key in ("report_type", "category"):

@@ -27,12 +27,17 @@ def sig12(x) -> str:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file and a rename, with the mode
+    ``open(path, "w")`` would give it (0666 less the umask)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0o022)  # the only way to read it is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

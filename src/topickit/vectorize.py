@@ -18,7 +18,8 @@ It also holds the input checks that the run configuration and the solvers share.
 
 Everything here is deterministic: vocabulary order is total frequency
 descending with lexicographic tie-break, and all sparse structures keep
-their coordinates in canonical sorted order, so rebuilding from the same
+their coordinates in canonical sorted order (TF-IDF is a copy of TF with
+each entry scaled, so it is canonical too), so rebuilding from the same
 corpus is byte-identical.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -129,10 +131,11 @@ def _indicator(rows: np.ndarray, n_rows: int) -> sp.csr_matrix:
 
 
 def check_setting(name: str, value, low, integer: bool = True) -> None:
-    """Raise ValueError unless ``value`` is an integer, or a finite number, >= ``low``."""
+    """Raise ValueError unless ``value`` is an integer, or a finite number, >= ``low``.
+    A finite number is one a float can hold: not NaN, inf or an integer past 1.8e308."""
     kind = "an integer" if integer else "a finite number"
-    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) if integer else
-                                       isinstance(value, numbers.Real) and math.isfinite(value)):
+    finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) if integer else finite):
         raise ValueError(f"{name} must be {kind}, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
@@ -234,11 +237,12 @@ def tfidf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMat
 
 def _tfidf(tf: DocTermMatrix, vocab: Vocabulary) -> DocTermMatrix:
     idf = np.log((1.0 + tf.shape[0]) / (1.0 + vocab.doc_freq.astype(np.float64))) + 1.0
-    mat = tf.values.multiply(idf[np.newaxis, :]).tocsr()
+    mat = tf.values.copy()  # each entry scaled in place, so canonical like tf
+    mat.data *= idf[mat.indices]
     norms = sp.linalg.norm(mat, axis=1)
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    mat = sp.diags(scale) @ mat
-    return DocTermMatrix(mat.tocsr(), "tfidf", tf.doc_ids)
+    mat.data *= np.repeat(scale, np.diff(mat.indptr))
+    return DocTermMatrix(mat, "tfidf", tf.doc_ids)
 
 
 def build_tensor(

@@ -445,6 +445,37 @@ class TestMainExitCodes:
             "config error: corpus_format must be one of jsonl, text-dir, got 'csv'\n")
         assert fitted == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["doc_id", "company_id"])
+    def test_lone_surrogate_id_is_2_before_any_fit(self, tmp_path, capsys, monkeypatch, key):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=2)
+        lines = corpus.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record[key] += "\ud800"  # legal JSON: json.dumps writes it as the escape \ud800
+        lines[2] = json.dumps(record) + "\n"
+        corpus.write_text("".join(lines))
+        fitted = []
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
+        assert main(["--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out == (
+            f"corpus error: corpus.jsonl:3: {key} holds a lone surrogate, got {record[key]!r}\n")
+        assert fitted == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out, why", [
+        ("file", "[Errno 17] File exists: {}"), ("file/x", "[Errno 20] Not a directory: {}"),
+        ("file/x/y", "[Errno 20] Not a directory: {}"), ("nul\0dir", "embedded null byte"),
+    ])
+    def test_unwritable_out_is_1_before_any_fit(self, tmp_path, capsys, monkeypatch, out, why):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=2)
+        (tmp_path / "file").write_text("")
+        fitted = []
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
+        assert main(["--corpus", str(corpus), "--out", str(tmp_path / out)]) == 1
+        printed = capsys.readouterr()
+        reason = why.format(repr(str(tmp_path / out)))
+        assert printed.out == f"config error: out_dir cannot be made: {reason}\n"
+        assert "Traceback" not in printed.err
+        assert fitted == [] and (tmp_path / "file").read_text() == ""
+
     def test_partial_failure_is_3(self, tmp_path, capsys):
         corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
         code = main(["--corpus", str(corpus), "--methods", "ntf", "--k", "2,4",
@@ -492,6 +523,14 @@ class TestMainExitCodes:
         assert "categroy" in capsys.readouterr().out
         assert main(["--corpus", str(corpus), "--filter", "categroy=coal", "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("filters", [["year"], "category=coal", None])
+    def test_flag_filter_over_non_object_file_filters_is_1(self, tmp_path, capsys, filters):
+        cfg = write_config(tmp_path, corpus_path="x.jsonl", filters=filters)
+        assert main(["--config", str(cfg), "--filter", "category=coal",
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().out == "config error: filters must be an object\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("settings, named", [
         ({"extra_stopwords": [5]}, "extra_stopwords"),

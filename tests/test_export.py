@@ -1,7 +1,10 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
-from topickit.export import sig12, write_csv, write_factor_csv
+from topickit.export import sig12, write_csv, write_factor_csv, write_json
 
 
 def test_write_csv_formats_each_cell(tmp_path):
@@ -64,3 +67,18 @@ def test_write_factor_csv_rejects_mismatched_labels(tmp_path, row_ids, names, co
     with pytest.raises(ValueError, match=f"^{counts}$"):
         write_factor_csv(tmp_path / "f.csv", "id", row_ids, np.ones((3, 3)), column_names=names)
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_files_get_the_mode_open_would_give(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_csv(tmp_path / "t.csv", ("a",), [(1,)])
+        write_factor_csv(tmp_path / "f.csv", "id", ["d"], np.ones((1, 1)))
+        write_json(tmp_path / "m.json", {"a": 1})
+        open(tmp_path / "plain.txt", "w").close()
+        assert os.umask(umask) == umask  # writing left the umask as it was
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(("t.csv", "f.csv", "m.json", "plain.txt"), 0o666 & ~umask)

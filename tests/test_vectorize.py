@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from topickit.evaluate import _ranked_terms
 from topickit.vectorize import (
     DocCompanyTermTensor,
+    _tfidf,
     build_tensor,
     build_vocabulary,
     check_nonnegative,
@@ -268,6 +269,14 @@ class TestTfidfMatrix:
         got = tfidf_matrix(docs, vocab).values.toarray()
         want = tfidf_oracle([list(d.tokens) for d in docs], vocab.index_to_term)
         np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_canonical_like_tf(self, rng):
+        for _ in range(20):
+            docs, min_df = random_corpus(rng)
+            vocab, tf = count_terms(docs, min_df=min_df)  # the run's TF-IDF is _tfidf(tf, vocab)
+            docs.append(toks("empty", []))
+            assert _tfidf(tf, vocab).values.has_canonical_format
+            assert tfidf_matrix(docs, vocab).values.has_canonical_format
 
     def test_rows_unit_or_zero_norm(self, rng):
         for _ in range(100):
