@@ -25,12 +25,12 @@ import logging
 import numbers
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import (LOADERS, CorpusError, RawDocument, StopwordList, has_lone_surrogate,
+from . import __version__
+from .corpus import (STRICT_JSON, CorpusError, RawDocument, StopwordList, has_lone_surrogate,
                      load_corpus, preprocess_corpus)
 from .evaluate import build_report
 from .export import write_csv, write_factor_csv, write_json
@@ -52,13 +52,6 @@ FILTER_KEYS = ("year", "category", "report_type")
 
 class ConfigError(Exception):
     """Invalid run configuration or command line."""
-
-
-def _tool_version() -> str:
-    try:
-        return version("topickit")
-    except PackageNotFoundError:
-        return "0.0.0+local"
 
 
 def _is_int(value) -> bool:
@@ -117,8 +110,7 @@ class RunConfig:
     command line's string forms ("lda,nmf", "2:6" or "2,3,4", "coal,drill").
     """
 
-    corpus_path: str = _setting(flag="--corpus", help="corpus path (JSONL file or text directory)")
-    corpus_format: str = _setting("jsonl", "--format", "corpus format", choices=tuple(LOADERS))
+    corpus_path: str = _setting(flag="--corpus", help="a JSONL file, or a text directory")
     methods: tuple[str, ...] = _setting(KNOWN_METHODS, "--methods", "comma list from lda,nmf,ntf")
     k_values: tuple[int, ...] = _setting((2, 3, 4, 5, 6), "--k",
                                          "topic counts: comma list '2,3,4' or range '2:6'")
@@ -167,9 +159,6 @@ class RunConfig:
                     check_setting(f"{method}.{key}", value, 1 if cap else 0, integer=cap)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.corpus_format not in LOADERS:
-            raise ConfigError(f"corpus_format must be one of {', '.join(LOADERS)}, "
-                              f"got {self.corpus_format!r}")
         if not isinstance(self.filters, dict):
             raise ConfigError("filters must be an object")
         unknown = [key for key in self.filters if key not in FILTER_KEYS]
@@ -366,7 +355,7 @@ def run_experiment(config: RunConfig) -> RunManifest:
     out_dir = Path(config.out_dir)
     notices: list[str] = []
 
-    raw_docs = load_corpus(config.corpus_path, config.corpus_format)
+    raw_docs = load_corpus(config.corpus_path)
     n_loaded = len(raw_docs)
     docs = _apply_filters(raw_docs, config.filters)
     if len(docs) < n_loaded:
@@ -446,7 +435,7 @@ def run_experiment(config: RunConfig) -> RunManifest:
         "vocabulary_size": len(vocab),
     }
     manifest = RunManifest(
-        tool_version=_tool_version(),
+        tool_version=__version__,
         config=asdict(config),
         digest=digest,
         cells=results,
@@ -496,11 +485,13 @@ def _load_config(args) -> RunConfig:
     flags = vars(args)
     settings: dict = {}
     if config_file := flags.pop("config"):
+        if has_lone_surrogate(config_file):  # it would raise when printed
+            raise ConfigError("config holds a lone surrogate")
         cfg_path = Path(config_file)
         if not cfg_path.is_file():
             raise ConfigError(f"config file not found: {cfg_path}")
         try:
-            settings = json.loads(cfg_path.read_text("utf-8"))
+            settings = STRICT_JSON.decode(cfg_path.read_text("utf-8"))
         except (ValueError, RecursionError) as exc:  # also huge integers, deep nesting
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
         if not isinstance(settings, dict):

@@ -18,7 +18,6 @@ import io
 import json
 import logging
 import re
-import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -212,26 +211,26 @@ def preprocess_corpus(
     return tokenized, empty_ids
 
 
-def load_corpus(path: str | Path, format: str = "jsonl") -> list[RawDocument]:
-    """Load raw documents from disk.
+def load_corpus(path: str | Path) -> list[RawDocument]:
+    """Load raw documents from disk: a directory as a text directory, a file as JSON Lines.
 
-    ``jsonl``: one JSON object per line with required keys doc_id,
-    company_id, text and optional year, report_type, category.
-    ``text-dir``: every ``*.txt`` file in the directory is one document
-    (doc_id = file stem) and a sidecar ``manifest.csv`` with columns
-    doc_id, company_id supplies the metadata, one row per file.
-
-    Duplicate doc_ids, invalid UTF-8 and malformed records are rejected
-    with the offending location named first.
+    JSON Lines: one object per line with required keys doc_id, company_id, text
+    and optional year, report_type, category.  A text directory: one document per
+    ``*.txt`` file (doc_id = file stem) and a sidecar ``manifest.csv`` with columns
+    doc_id, company_id, one row per file.  Any other path, duplicate doc_ids,
+    repeated JSON keys or manifest columns, invalid UTF-8, malformed records and a
+    corpus with no documents are a CorpusError, naming the offending location first.
     """
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"corpus path does not exist: {path}")
-    if format not in LOADERS:
-        raise CorpusError(f"unknown corpus format: {format!r}")
-    docs = LOADERS[format](path)
+    if path.is_dir():
+        docs, source = _load_text_dir(path), "manifest.csv"
+    elif path.is_file():
+        docs, source = _load_jsonl(path), path.name
+    else:
+        what = "is not a file or a directory" if path.exists() else "does not exist"
+        raise CorpusError(f"corpus path {what}: {path}")
     if not docs:
-        warnings.warn(f"corpus at {path} is empty", stacklevel=2)
+        raise CorpusError(f"{source}: no documents")
     return docs
 
 
@@ -278,9 +277,20 @@ def _document(record: dict, where: str) -> RawDocument:
         raise CorpusError(f"{where}: {exc}") from None
 
 
+def _unique_keys(pairs: list[tuple]) -> dict:
+    """A JSON object as a dict; a repeated key, of which ``dict`` keeps the last, is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+# Built once: json.loads with a hook builds a decoder on every call.
+STRICT_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_jsonl(path: Path) -> list[RawDocument]:
-    if not path.is_file():
-        raise CorpusError(f"not a file: {path}")
     docs: dict[str, RawDocument] = {}
     with open(path, "rb") as fh:  # JSON Lines: records end at b"\n"
         for lineno, raw in enumerate(fh, start=1):
@@ -288,7 +298,7 @@ def _load_jsonl(path: Path) -> list[RawDocument]:
             if not raw.strip():
                 continue
             try:
-                record = json.loads(raw.decode("utf-8"))
+                record = STRICT_JSON.decode(raw.decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise CorpusError(f"{where}: not valid UTF-8 at byte {exc.start}") from None
             except (ValueError, RecursionError) as exc:  # also huge integers, deep nesting
@@ -317,17 +327,18 @@ def _read_utf8(path: Path) -> str:
 
 
 def _load_text_dir(path: Path) -> list[RawDocument]:
-    if not path.is_dir():
-        raise CorpusError(f"not a directory: {path}")
     manifest = path / "manifest.csv"
-    if not manifest.is_file():
-        raise CorpusError(f"text-dir corpus requires a sidecar manifest: {manifest}")
     texts = {txt.stem: txt for txt in sorted(path.glob("*.txt"))}
     meta: dict[str, tuple[str, dict]] = {}  # doc_id -> (manifest line, row)
-    reader = csv.DictReader(io.StringIO(_read_utf8(manifest), newline=""))
+    # A leading BOM, as spreadsheet tools write one, would join the first column's name.
+    reader = csv.DictReader(io.StringIO(_read_utf8(manifest).removeprefix("\ufeff"), newline=""))
     try:
-        if reader.fieldnames is None or not {"doc_id", "company_id"} <= set(reader.fieldnames):
+        columns = reader.fieldnames or []
+        if not {"doc_id", "company_id"} <= set(columns):
             raise CorpusError(f"{manifest.name}: header must include doc_id, company_id")
+        for i, column in enumerate(columns):  # DictReader keeps the last; "" is never read
+            if column and column in columns[:i]:
+                raise CorpusError(f"{manifest.name}: repeated column {column!r}")
         for row in reader:
             where, doc_id = f"{manifest.name}:{reader.line_num}", row["doc_id"]
             if doc_id in meta:
@@ -349,6 +360,3 @@ def _load_text_dir(path: Path) -> list[RawDocument]:
                   for key in ("company_id", "year", "report_type", "category")}
         docs.append(_document({**record, "doc_id": doc_id, "text": _read_utf8(txt)}, where))
     return docs
-
-
-LOADERS = {"jsonl": _load_jsonl, "text-dir": _load_text_dir}  # read by load_corpus and RunConfig

@@ -1,10 +1,13 @@
 import csv
 import json
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topickit
 from topickit import cli, vectorize
 from topickit.cli import ConfigError, RunConfig, main, run_experiment, select_best
 from topickit.corpus import StopwordList, load_corpus, preprocess_corpus
@@ -387,8 +390,7 @@ class TestMainExitCodes:
         (corpus / "b.txt").write_text("gold vein assay")
         (corpus / "manifest.csv").write_text("doc_id,company_id\na,c1\nb,c2\n")
         (corpus / bad_file).write_bytes((corpus / bad_file).read_bytes() + b"\xff\xfe")
-        code = main(["--corpus", str(corpus), "--format", "text-dir",
-                     "--out", str(tmp_path / "out")])
+        code = main(["--corpus", str(corpus), "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"corpus error: {bad_file}: not valid UTF-8" in capsys.readouterr().out
 
@@ -398,8 +400,7 @@ class TestMainExitCodes:
         (corpus / "a.txt").write_text("coal seam drill")
         (corpus / "sub.txt").mkdir()
         (corpus / "manifest.csv").write_text("doc_id,company_id\na,c1\nsub,c2\n")
-        code = main(["--corpus", str(corpus), "--format", "text-dir",
-                     "--out", str(tmp_path / "out")])
+        code = main(["--corpus", str(corpus), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "corpus error: sub.txt: cannot read" in capsys.readouterr().out
 
@@ -434,16 +435,67 @@ class TestMainExitCodes:
         assert "config error: select_margin must be" in capsys.readouterr().out
         assert fitted == [] and not (tmp_path / "out").exists()
 
-    def test_unknown_corpus_format_in_file_is_1_before_any_cell(self, tmp_path, capsys,
-                                                                monkeypatch):
-        corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=2)
-        cfg = write_config(tmp_path, corpus_path=str(corpus), corpus_format="csv")
+    def test_directory_loads_as_a_text_directory(self, tmp_path, capsys):
+        jsonl = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=4)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        columns = ["doc_id", "company_id", "year", "report_type", "category"]
+        rows = [json.loads(line) for line in jsonl.read_text().splitlines()]
+        for row in rows:
+            (corpus / f"{row['doc_id']}.txt").write_text(row["text"])
+        with open(corpus / "manifest.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows([columns, *([row[c] for c in columns] for row in rows)])
+        assert load_corpus(corpus) == load_corpus(jsonl)
+        for path, out in ((jsonl, "out-jsonl"), (corpus, "out-dir")):
+            assert main(["--corpus", str(path), "--methods", "nmf", "--k", "2",
+                         "--out", str(tmp_path / out)]) == 0
+        for name in ("doc_topic.csv", "topic_term.csv", "report.json", "model.json"):
+            assert ((tmp_path / "out-dir" / "nmf" / "k2" / name).read_bytes()
+                    == (tmp_path / "out-jsonl" / "nmf" / "k2" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"corpus_path": "c.jsonl", "seed": -1, "seed": 2}', "seed"),
+        ('{"corpus_path": "c.jsonl", "lda": {"tol": 1, "tol": 2}}', "tol"),
+    ])
+    def test_repeated_key_in_config_is_1_before_any_cell(self, tmp_path, capsys, monkeypatch,
+                                                         text, key):
+        (tmp_path / "run.json").write_text(text)
         fitted = []
         monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
-        assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert main(["--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().out == (
-            "config error: corpus_format must be one of jsonl, text-dir, got 'csv'\n")
+            f"config error: config file is not valid JSON: repeated key {key!r}\n")
         assert fitted == [] and not (tmp_path / "out").exists()
+
+    def test_lone_surrogate_config_path_is_1(self, capsys):
+        assert main(["--config", "a\ud800"]) == 1
+        assert capsys.readouterr().out == "config error: config holds a lone surrogate\n"
+
+    @pytest.mark.parametrize("name, line", [("corpus.jsonl", "corpus.jsonl: no documents"),
+                                            ("corpus", "manifest.csv: no documents")])
+    def test_empty_corpus_is_2_with_one_line(self, tmp_path, capsys, monkeypatch, name, line):
+        corpus = tmp_path / name
+        if name == "corpus":
+            corpus.mkdir()
+            (corpus / "manifest.csv").write_text("doc_id,company_id\n")
+        else:
+            corpus.write_text("\n")
+        fitted = []
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
+        assert main(["--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == f"corpus error: {line}\n" and printed.err == ""
+        assert fitted == [] and not (tmp_path / "out").exists()
+
+    def test_manifest_records_the_pyproject_version(self, tmp_path, capsys):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text("utf-8")
+        version = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+        assert topickit.__version__ == version
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=2)
+        assert main(["--corpus", str(corpus), "--methods", "nmf", "--k", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "summary" / "manifest.json").read_text())
+        assert manifest["tool_version"] == version
 
     @pytest.mark.parametrize("key", ["doc_id", "company_id"])
     def test_lone_surrogate_id_is_2_before_any_fit(self, tmp_path, capsys, monkeypatch, key):
@@ -598,12 +650,12 @@ class TestMainExitCodes:
         corpus = str(write_mini_corpus(tmp_path / "corpus.jsonl"))
         out = str(tmp_path / "out")
         file_only = write_config(
-            tmp_path, corpus_path=corpus, corpus_format="jsonl", methods=["nmf"],
+            tmp_path, corpus_path=corpus, methods=["nmf"],
             k_values=[2, 3], seed=4, min_df=2, out_dir=out,
             filters={"year": [2000, 2009], "category": "coal"}, extra_stopwords=["seam"],
             select_margin=0.05, n_keywords=10,
         )
-        flags_only = ["--corpus", corpus, "--format", "jsonl", "--methods", "nmf",
+        flags_only = ["--corpus", corpus, "--methods", "nmf",
                       "--k", "2:3", "--seed", "4", "--min-df", "2", "--out", out,
                       "--filter", "year=2000:2009", "--filter", "category=coal",
                       "--extra-stopwords", "seam", "--margin", "0.05", "--keywords", "10"]

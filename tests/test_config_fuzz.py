@@ -2,7 +2,8 @@
 
 Every setting (each RunConfig field, and each solver key under "lda", "nmf"
 and "ntf") is given bad values from a config file and, where it has one,
-from its flag, over a seeded random background of valid settings.  Each
+from its flag, and is written twice in a config file, over a seeded random
+background of valid settings.  Each
 case must exit 1 with one printed line, ``config error: ...``, that names the
 setting or its flag; none may raise, fit a cell or make the output directory.
 """
@@ -33,7 +34,6 @@ FILE_VALUES = {
     "dict": COMMON + [5, -1, [], ["year"], {"jobs": 1}, {SURROGATE: 1}],
 }
 FILE_EXTRA = {
-    "corpus_format": ["csv", ""],
     "methods": [[], ["nmf", "nmf"], ["svd"], "nmf,,nmf"],
     "filters": [{"year": "x"}, {"year": [2009, 2000]}, {"year": []}, {"category": 5},
                 {"report_type": [SURROGATE]}],
@@ -51,13 +51,13 @@ FLAG_VALUES = {
     "float": ["", "abc", "nan", "inf", "-inf", "-1", "1e400", SURROGATE],
     "dict": ["x", "jobs=1", "year=abc", "year=2009:2000", "=coal", "category=" + SURROGATE],
 }
-FLAG_EXTRA = {"corpus_format": ["csv", ""], "methods": ["", ",", "svd", "nmf,nmf", "nmf,5"]}
+FLAG_EXTRA = {"methods": ["", ",", "svd", "nmf,nmf", "nmf,5"]}
 ALIASES = {"methods": ["method"], "k_values": ["k"], "filters": ["filter"]}
 
 # Valid values for the background; corpus_path and out_dir are set per test.
 VALID = {
-    "corpus_format": ["jsonl"], "methods": [["nmf"], "lda,nmf"], "k_values": [[2, 3], "2:4"],
-    "seed": [0, 7, HUGE], "min_df": [1, 3], "filters": [{}, {"year": "2000:2009"}],
+    "methods": [["nmf"], "lda,nmf"], "k_values": [[2, 3], "2:4"], "seed": [0, 7, HUGE],
+    "min_df": [1, 3], "filters": [{}, {"year": "2000:2009"}],
     "extra_stopwords": [["coal"], "coal,seam", []], "select_margin": [0, 0.05],
     "n_keywords": [10], "lda": [{"max_iter": 5}], "nmf": [{"tol": 0}], "ntf": [{}],
 }
@@ -83,11 +83,13 @@ def cases(tmp_path):
         if flag_of(f.name):
             for value in FLAG_VALUES[f.type] + FLAG_EXTRA.get(f.name, []) + extra:
                 yield f.name, names, "flag", value
+        yield f.name, [f.name], "repeat", None
     for method, keys in SOLVER_KEYS.items():
         for key in keys:
             for value in SOLVER_VALUES["tol" if key == "tol" else "cap"]:
                 yield method, [f"{method}.{key}", method], "file", {key: value}
-    for key in ("jobs", "Seed", SURROGATE):
+            yield method, [key], "repeat", key
+    for key in ("jobs", "Seed", SURROGATE, "corpus_format"):
         yield key, [ascii(key)[1:-1]], "file", 1
     yield "jobs", ["--jobs"], "argv", ["--jobs", "2"]
 
@@ -107,9 +109,20 @@ def argv_for(tmp_path, rng, setting, route, value):
         settings[setting] = value
     elif route == "flag":
         argv += [flag_of(setting), value]
-    else:
+    elif route == "argv":
         argv += value
-    (tmp_path / "run.json").write_text(json.dumps(settings))
+    member = None
+    if route == "repeat":  # json.dumps cannot write a key twice; every value is valid
+        first = settings.pop(setting, None)
+        if value:  # a solver key, twice in its method's object
+            member = f'"{setting}": {{"{value}": 1, "{value}": 1}}'
+        else:
+            once = f'"{setting}": {json.dumps(VALID[setting][0] if first is None else first)}'
+            member = f"{once}, {once}"
+    text = json.dumps(settings)
+    if member:
+        text = text[:-1] + f", {member}}}"
+    (tmp_path / "run.json").write_text(text)
     return argv
 
 

@@ -3,10 +3,13 @@ import io
 import json
 import re
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from topickit import cli
+from topickit.cli import main
 from topickit.corpus import (
     EXTRA_STOPWORDS,
     CorpusError,
@@ -292,7 +295,7 @@ class TestLoadJsonl:
             + json.dumps({"doc_id": "r2", "company_id": "c2", "text": "gold ore",
                           "year": 2015, "report_type": "annual"}) + "\n"
         )
-        docs = load_corpus(path, "jsonl")
+        docs = load_corpus(path)
         assert [d.doc_id for d in docs] == ["r1", "r2"]
         assert docs[1].year == 2015
         assert docs[1].report_type == "annual"
@@ -302,14 +305,14 @@ class TestLoadJsonl:
         record = json.dumps({"doc_id": "r1", "company_id": "c1", "text": "coal"})
         path.write_text(record + "\n" + record + "\n")
         with pytest.raises(CorpusError, match="duplicate doc_id 'r1'"):
-            load_corpus(path, "jsonl")
+            load_corpus(path)
 
-    def test_empty_file_warns(self, tmp_path):
+    def test_empty_file_is_an_error(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
-        path.write_text("")
-        with pytest.warns(UserWarning, match="empty"):
-            docs = load_corpus(path, "jsonl")
-        assert docs == []
+        for text in ("", "\n \n"):
+            path.write_text(text)
+            with pytest.raises(CorpusError, match=r"^corpus\.jsonl: no documents$"):
+                load_corpus(path)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -318,7 +321,7 @@ class TestLoadJsonl:
             + "{not json}\n"
         )
         with pytest.raises(CorpusError, match="corpus.jsonl:2"):
-            load_corpus(path, "jsonl")
+            load_corpus(path)
 
     @pytest.mark.parametrize("line", ['{"doc_id": 1' + "0" * 5000 + "}", "[" * 100000],
                              ids=["huge-integer", "deep-nesting"])
@@ -326,19 +329,19 @@ class TestLoadJsonl:
         path = tmp_path / "corpus.jsonl"
         path.write_text(line + "\n")
         with pytest.raises(CorpusError, match=r"^corpus\.jsonl:1: malformed JSON"):
-            load_corpus(path, "jsonl")
+            load_corpus(path)
 
     def test_missing_key_reports_line(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"doc_id": "r1", "text": "coal"}) + "\n")
         with pytest.raises(CorpusError, match="company_id"):
-            load_corpus(path, "jsonl")
+            load_corpus(path)
 
     def test_empty_text_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text(json.dumps({"doc_id": "r1", "company_id": "c1", "text": " "}) + "\n")
         with pytest.raises(CorpusError, match="corpus.jsonl:1"):
-            load_corpus(path, "jsonl")
+            load_corpus(path)
 
     @pytest.mark.parametrize("key, value", [
         ("doc_id", None), ("doc_id", True), ("doc_id", 1.5),
@@ -352,7 +355,7 @@ class TestLoadJsonl:
         good = {"doc_id": "r1", "company_id": "c1", "text": "coal seam"}
         path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "doc_id": "r2", key: value}))
         with pytest.raises(CorpusError, match=rf"^corpus\.jsonl:2: {key} must be"):
-            load_corpus(path, "jsonl")
+            load_corpus(path)
 
     def test_integer_ids_and_years_accepted(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -361,7 +364,7 @@ class TestLoadJsonl:
                         "report_type": None, "category": "coal"}) + "\n"
             + json.dumps({"doc_id": "r2", "company_id": "c1", "text": "gold", "year": 2006.0})
         )
-        docs = load_corpus(path, "jsonl")
+        docs = load_corpus(path)
         assert (docs[0].doc_id, docs[0].company_id, docs[0].year) == ("12", "7", 2005)
         assert docs[0].report_type is None and docs[0].category == "coal"
         assert docs[1].year == 2006
@@ -372,17 +375,28 @@ class TestLoadJsonl:
         path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "doc_id": 1}) + "\n"
                         + json.dumps(record) + "\n")
         with pytest.raises(CorpusError, match=r"^corpus\.jsonl:3: duplicate doc_id 'r1'"):
-            load_corpus(path, "jsonl")
+            load_corpus(path)
 
     def test_missing_path(self, tmp_path):
         with pytest.raises(CorpusError, match="does not exist"):
-            load_corpus(tmp_path / "nope.jsonl", "jsonl")
+            load_corpus(tmp_path / "nope.jsonl")
 
-    def test_unknown_format(self, tmp_path):
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="needs /dev/null")
+    def test_path_neither_file_nor_directory(self):
+        with pytest.raises(CorpusError, match="^corpus path is not a file or a directory: "):
+            load_corpus("/dev/null")
+
+    @pytest.mark.parametrize("record, key", [
+        ('{"doc_id": "a", "company_id": "c", "text": "coal", "doc_id": "b"}', "doc_id"),
+        ('{"doc_id": "b", "company_id": "c", "text": "coal", "x": {"y": 1, "y": 2}}', "y"),
+    ])
+    def test_repeated_key_names_line_and_key(self, tmp_path, record, key):
         path = tmp_path / "corpus.jsonl"
-        path.write_text("")
-        with pytest.raises(CorpusError, match="unknown corpus format"):
-            load_corpus(path, "parquet")
+        path.write_text(json.dumps({"doc_id": "r1", "company_id": "c1", "text": "coal"})
+                        + "\n\n" + record + "\n")
+        with pytest.raises(CorpusError, match=rf"^corpus\.jsonl:3: malformed JSON "
+                                              rf"\(repeated key '{key}'\)$"):
+            load_corpus(path)
 
 
 class TestLoadTextDir:
@@ -392,54 +406,70 @@ class TestLoadTextDir:
         (tmp_path / "manifest.csv").write_text(
             "doc_id,company_id,year\na-doc,c1,2001\nb-doc,c2,\n"
         )
-        docs = load_corpus(tmp_path, "text-dir")
+        docs = load_corpus(tmp_path)
         assert [d.doc_id for d in docs] == ["a-doc", "b-doc"]  # file-name order
         assert docs[0].company_id == "c1"
         assert docs[0].year == 2001
         assert docs[1].year is None
 
+    def test_manifest_with_a_bom(self, tmp_path):
+        (tmp_path / "a.txt").write_text("coal seam gas")
+        (tmp_path / "manifest.csv").write_bytes(b"\xef\xbb\xbfdoc_id,company_id\r\na,c1\r\n")
+        assert [(d.doc_id, d.company_id) for d in load_corpus(tmp_path)] == [("a", "c1")]
+
+    def test_repeated_manifest_column(self, tmp_path):
+        (tmp_path / "a.txt").write_text("coal seam gas")
+        (tmp_path / "manifest.csv").write_text("doc_id,company_id,company_id\na,c1,c9\n")
+        with pytest.raises(CorpusError, match=r"^manifest\.csv: repeated column 'company_id'$"):
+            load_corpus(tmp_path)
+
+    def test_no_documents(self, tmp_path):
+        (tmp_path / "manifest.csv").write_text("doc_id,company_id\n")
+        with pytest.raises(CorpusError, match=r"^manifest\.csv: no documents$"):
+            load_corpus(tmp_path)
+
     def test_missing_manifest(self, tmp_path):
         (tmp_path / "a.txt").write_text("coal")
         with pytest.raises(CorpusError, match="manifest"):
-            load_corpus(tmp_path, "text-dir")
+            load_corpus(tmp_path)
 
     def test_unlisted_document(self, tmp_path):
         (tmp_path / "a.txt").write_text("coal")
         (tmp_path / "manifest.csv").write_text("doc_id,company_id\nother,c1\n")
         with pytest.raises(CorpusError, match="no manifest row"):
-            load_corpus(tmp_path, "text-dir")
+            load_corpus(tmp_path)
 
     def test_duplicate_manifest_row(self, tmp_path):
         (tmp_path / "a.txt").write_text("coal")
         (tmp_path / "manifest.csv").write_text("doc_id,company_id\na,c1\na,c2\n")
         with pytest.raises(CorpusError, match=r"manifest\.csv:3: duplicate doc_id 'a'"):
-            load_corpus(tmp_path, "text-dir")
+            load_corpus(tmp_path)
 
     def test_manifest_row_without_text_file(self, tmp_path):
         (tmp_path / "a.txt").write_text("coal")
         (tmp_path / "manifest.csv").write_text("doc_id,company_id\na,c1\nghost,c3\n")
         with pytest.raises(CorpusError, match=r"manifest\.csv:3: no file ghost\.txt .*'ghost'"):
-            load_corpus(tmp_path, "text-dir")
+            load_corpus(tmp_path)
 
     def test_metadata_errors_name_manifest_line(self, tmp_path):
         (tmp_path / "a.txt").write_text("coal")
         (tmp_path / "b.txt").write_text("gold")
         (tmp_path / "manifest.csv").write_text("doc_id,company_id,year\na,c1,2001\nb\n")
         with pytest.raises(CorpusError, match=r"^manifest\.csv:3: .*company_id"):
-            load_corpus(tmp_path, "text-dir")
+            load_corpus(tmp_path)
         (tmp_path / "manifest.csv").write_text("doc_id,company_id,year\na,c1,2001\nb,c2,x\n")
         with pytest.raises(CorpusError, match=r"^manifest\.csv:3: year must be"):
-            load_corpus(tmp_path, "text-dir")
+            load_corpus(tmp_path)
 
     def test_duplicate_reported_before_missing_file(self, tmp_path):
         (tmp_path / "a.txt").write_text("coal")
         (tmp_path / "manifest.csv").write_text("doc_id,company_id\na,c1\na,c2\nghost,c3\n")
         with pytest.raises(CorpusError, match=r"manifest\.csv:3: duplicate doc_id 'a'"):
-            load_corpus(tmp_path, "text-dir")
+            load_corpus(tmp_path)
 
 
 # A CorpusError message starts with the file (and line) it is about.
-_LOCATED = re.compile(r"^(corpus\.jsonl:\d+|manifest\.csv(:\d+)?|[\w-]+\.txt): ")
+_LOCATED = re.compile(r"^(corpus\.jsonl(:\d+)?|manifest\.csv(:\d+)?|[\w-]+\.txt): ")
 _ODD_VALUES = [None, True, 12, 2005.9, float("nan"), "", " ", "x", "2005", ["a"], {"a": 1}]
 _BAD_BYTES = [b"\xff\xfe", b"\xc3", b"\x80", b"\x00", b"\n", b'"', b","]
 
@@ -454,9 +484,9 @@ def _insert_bytes(rng, data: bytes) -> bytes:
     return data[:at] + _BAD_BYTES[rng.integers(len(_BAD_BYTES))] + data[at:]
 
 
-def _assert_loads_or_locates(path, format):
+def _assert_loads_or_locates(path):
     try:
-        load_corpus(path, format)
+        load_corpus(path)
     except CorpusError as exc:
         assert _LOCATED.match(str(exc)), str(exc)
 
@@ -487,7 +517,7 @@ class TestMalformedInput:
             if rng.random() < 0.3:
                 data = _insert_bytes(rng, data)
             path.write_bytes(data)
-            _assert_loads_or_locates(path, "jsonl")
+            _assert_loads_or_locates(path)
 
     def test_text_dir(self, tmp_path):
         rng = np.random.default_rng(20240601)
@@ -523,4 +553,70 @@ class TestMalformedInput:
             if rng.random() < 0.3:
                 data = _insert_bytes(rng, data)
             (root / "manifest.csv").write_bytes(data)
-            _assert_loads_or_locates(root, "text-dir")
+            _assert_loads_or_locates(root)
+
+    def test_structure(self, tmp_path, capsys, monkeypatch):
+        """Repeated keys and columns, a BOM, empty files, CRLF line ends and NUL bytes.  A
+        corpus that does not load fails in ``main`` with its one line, before any fit."""
+        rng = np.random.default_rng(20261020)
+        fitted = []
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
+        errors = []
+        for trial in range(200):
+            root = tmp_path / f"t{trial}"
+            root.mkdir()
+            records = _valid_records(4)
+            if trial % 2:
+                corpus = root / "corpus.jsonl"
+                lines = [json.dumps(r) for r in records]
+                at = int(rng.integers(len(lines)))
+                mutation = rng.integers(4)
+                if mutation == 0:  # a key again, at the top or inside an object
+                    key = ("doc_id", "company_id", "text", "year")[rng.integers(4)]
+                    lines[at] = lines[at][:-1] + (f', "{key}": "r9"}}' if rng.random() < 0.5
+                                                  else ', "x": {"a": 1, "a": 2}}')
+                elif mutation == 1:
+                    lines = [] if rng.random() < 0.5 else ["", " "]
+                elif mutation == 2:
+                    lines[at] = lines[at].replace('"text": "', '"text": "\0')
+                files = {corpus: "\n".join(lines).encode() + b"\n"}
+            else:
+                corpus = root
+                columns = ["doc_id", "company_id", "year", "report_type", "category"]
+                rows = [[str(r[c]) for c in columns] for r in records]
+                texts = {root / f"{r['doc_id']}.txt": r["text"].encode() for r in records}
+                mutation = rng.integers(4)
+                if mutation == 0:  # a header column again, with values of its own
+                    at = int(rng.integers(len(columns)))
+                    columns.append(columns[at])
+                    for row in rows:
+                        row.append(f"{row[at]}9")
+                elif mutation == 1:  # a header and no rows, with or without the text files
+                    rows = []
+                    texts = {} if rng.random() < 0.5 else texts
+                elif mutation == 2:
+                    txt = list(texts)[rng.integers(len(texts))]
+                    texts[txt] = texts[txt][:2] + b"\0" + texts[txt][2:]
+                out = io.StringIO()
+                csv.writer(out, lineterminator="\n").writerows([columns, *rows])
+                manifest = out.getvalue().encode()
+                if rng.random() < 0.3:
+                    manifest = manifest.replace(b"\n", b"\0\n", 1)
+                if rng.random() < 0.5:
+                    manifest = b"\xef\xbb\xbf" + manifest
+                files = {**texts, root / "manifest.csv": manifest}
+            for path, data in files.items():
+                path.write_bytes(data.replace(b"\n", b"\r\n") if rng.random() < 0.3 else data)
+            try:
+                load_corpus(corpus)
+            except CorpusError as exc:
+                assert _LOCATED.match(str(exc)), str(exc)
+                errors.append(str(exc))
+                assert main(["--corpus", str(corpus), "--out", str(root / "out")]) == 2
+                printed = capsys.readouterr()
+                assert printed.out == f"corpus error: {exc}\n", printed.out
+                assert "Traceback" not in printed.err
+        assert fitted == [] and 20 < len(errors) < 180
+        for kind in ("repeated key", "repeated column", "control character", "no manifest row",
+                     "corpus.jsonl: no documents", "manifest.csv: no documents"):
+            assert any(kind in error for error in errors), kind
