@@ -28,6 +28,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import __version__
 from .corpus import (STRICT_JSON, CorpusError, RawDocument, StopwordList, has_lone_surrogate,
@@ -358,17 +359,22 @@ def run_experiment(config: RunConfig) -> RunManifest:
     raw_docs = load_corpus(config.corpus_path)
     n_loaded = len(raw_docs)
     docs = _apply_filters(raw_docs, config.filters)
-    if len(docs) < n_loaded:
-        notices.append(f"metadata filters dropped {n_loaded - len(docs)} document(s)")
+    n_docs = len(docs)
+    if n_docs < n_loaded:
+        notices.append(f"metadata filters dropped {n_loaded - n_docs} document(s)")
     if not docs:
         raise CorpusError("no documents left after filtering")
 
+    company_map = {d.doc_id: d.company_id for d in docs}
     stops = StopwordList.with_extra(config.extra_stopwords)
     tokenized, empty_ids = preprocess_corpus(docs, stops)
+    del raw_docs, docs  # no text is read past preprocessing
+    if len(empty_ids) == n_docs:
+        raise CorpusError(f"{Path(config.corpus_path).name}: all {n_docs} documents are "
+                          "empty after preprocessing")
     if empty_ids:
-        notices.append(
-            f"{len(empty_ids)} document(s) empty after preprocessing: {', '.join(empty_ids)}"
-        )
+        notices.append(f"{len(empty_ids)} document(s) empty after preprocessing: "
+                       f"{', '.join(empty_ids)}")
 
     try:  # counted once; TF-IDF and the tensor derive from it
         vocab, tf = count_terms([t for t in tokenized if not t.is_empty], min_df=config.min_df)
@@ -378,26 +384,20 @@ def run_experiment(config: RunConfig) -> RunManifest:
     has_term = np.diff(tf.values.indptr) > 0  # min_df can leave a document no term
     dropped_oov = [doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if not ok]
     if dropped_oov:
-        notices.append(
-            f"{len(dropped_oov)} document(s) have no in-vocabulary token: {', '.join(dropped_oov)}"
-        )
+        notices.append(f"{len(dropped_oov)} document(s) have no in-vocabulary token: "
+                       f"{', '.join(dropped_oov)}")
         kept_ids = tuple(doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if ok)
-        tf = DocTermMatrix(tf.values[has_term], "tf", kept_ids)
+        # An empty row ends where it starts: dropping its end from indptr moves no entry.
+        values = sp.csr_matrix((tf.values.data, tf.values.indices,
+                                tf.values.indptr[np.r_[True, has_term]]),
+                               shape=(len(kept_ids), len(vocab)))
+        tf = DocTermMatrix(values, "tf", kept_ids)
 
-    company_map = {d.doc_id: d.company_id for d in docs}
-    tfidf = _tfidf(tf, vocab)
     tensor = _tensor(tf, company_map)
-    bundle = _CorpusBundle(
-        tf=tf,
-        tfidf=tfidf,
-        tensor=tensor,
-        vocab=vocab,
-        doc_companies=[company_map[doc_id] for doc_id in tf.doc_ids],
-    )
-    logger.info(
-        "corpus ready: %d documents, %d companies, %d terms",
-        tf.shape[0], tensor.shape[1], len(vocab),
-    )
+    bundle = _CorpusBundle(tf, _tfidf(tf, vocab), tensor, vocab,
+                           [company_map[doc_id] for doc_id in tf.doc_ids])
+    logger.info("corpus ready: %d documents, %d companies, %d terms",
+                tf.shape[0], tensor.shape[1], len(vocab))
 
     try:  # not earlier, so that a bad corpus leaves nothing behind
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -427,7 +427,7 @@ def run_experiment(config: RunConfig) -> RunManifest:
 
     digest = {
         "documents_loaded": n_loaded,
-        "documents_after_filters": len(docs),
+        "documents_after_filters": n_docs,
         "documents_empty_after_preprocessing": empty_ids,
         "documents_without_vocabulary_terms": dropped_oov,
         "documents_in_matrices": tf.shape[0],

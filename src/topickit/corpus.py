@@ -217,9 +217,10 @@ def load_corpus(path: str | Path) -> list[RawDocument]:
     JSON Lines: one object per line with required keys doc_id, company_id, text
     and optional year, report_type, category.  A text directory: one document per
     ``*.txt`` file (doc_id = file stem) and a sidecar ``manifest.csv`` with columns
-    doc_id, company_id, one row per file.  Any other path, duplicate doc_ids,
-    repeated JSON keys or manifest columns, invalid UTF-8, malformed records and a
-    corpus with no documents are a CorpusError, naming the offending location first.
+    doc_id, company_id and optional year, report_type, category, one row per file.  Any
+    other path, duplicate doc_ids, unknown or repeated keys or columns, invalid UTF-8,
+    malformed records and a corpus with no documents are a CorpusError, naming the
+    offending location first.
     """
     path = Path(path)
     if path.is_dir():
@@ -288,6 +289,7 @@ def _unique_keys(pairs: list[tuple]) -> dict:
 
 # Built once: json.loads with a hook builds a decoder on every call.
 STRICT_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+RECORD_KEYS = ("doc_id", "company_id", "text", "year", "report_type", "category")
 
 
 def _load_jsonl(path: Path) -> list[RawDocument]:
@@ -308,6 +310,10 @@ def _load_jsonl(path: Path) -> list[RawDocument]:
             missing = [k for k in ("doc_id", "company_id", "text") if k not in record]
             if missing:
                 raise CorpusError(f"{where}: missing required key(s) {', '.join(missing)}")
+            unknown = [k for k in record if k not in RECORD_KEYS]
+            if unknown:
+                raise CorpusError(f"{where}: unknown key {unknown[0]!r}; "
+                                  f"keys are {', '.join(RECORD_KEYS)}")
             doc = _document(record, where)
             if doc.doc_id in docs:
                 raise CorpusError(f"{where}: duplicate doc_id {doc.doc_id!r}")
@@ -336,11 +342,18 @@ def _load_text_dir(path: Path) -> list[RawDocument]:
         columns = reader.fieldnames or []
         if not {"doc_id", "company_id"} <= set(columns):
             raise CorpusError(f"{manifest.name}: header must include doc_id, company_id")
-        for i, column in enumerate(columns):  # DictReader keeps the last; "" is never read
-            if column and column in columns[:i]:
+        known = [key for key in RECORD_KEYS if key != "text"]  # the file is the text
+        for i, column in enumerate(columns):
+            if column not in known:
+                raise CorpusError(f"{manifest.name}: unknown column {column!r}; "
+                                  f"columns are {', '.join(known)}")
+            if column in columns[:i]:  # DictReader would keep the last
                 raise CorpusError(f"{manifest.name}: repeated column {column!r}")
         for row in reader:
             where, doc_id = f"{manifest.name}:{reader.line_num}", row["doc_id"]
+            if None in row:  # DictReader files the fields past the header under None
+                raise CorpusError(f"{where}: {len(columns) + len(row[None])} fields, "
+                                  f"the header has {len(columns)}")
             if doc_id in meta:
                 raise CorpusError(f"{where}: duplicate doc_id {doc_id!r}")
             meta[doc_id] = where, row

@@ -18,9 +18,9 @@ It also holds the input checks that the run configuration and the solvers share.
 
 Everything here is deterministic: vocabulary order is total frequency
 descending with lexicographic tie-break, and all sparse structures keep
-their coordinates in canonical sorted order (TF-IDF is a copy of TF with
-each entry scaled, so it is canonical too), so rebuilding from the same
-corpus is byte-identical.
+their coordinates in canonical sorted order (TF-IDF shares TF's ``indices``
+and ``indptr`` and has data of its own, so it is canonical too), so
+rebuilding from the same corpus is byte-identical.
 """
 
 from __future__ import annotations
@@ -187,7 +187,14 @@ def count_terms(docs: Iterable[TokenizedDocument],
     total = np.bincount(counts.indices, weights=counts.data)[kept]
     kept = kept[np.lexsort((np.array([stems[i] for i in kept]), -total))]
     terms = tuple(stems[i] for i in kept)
-    tf = DocTermMatrix(counts[:, kept].sorted_indices(), "tf", tuple(d.doc_id for d in docs))
+    column = np.full(len(stems), -1, np.int32)  # each code's column; -1 under min_df
+    column[kept] = np.arange(len(kept))
+    counts.data[column[counts.indices] < 0] = 0
+    counts.eliminate_zeros()  # in place, as is the sort of the relabelled columns
+    values = sp.csr_matrix((counts.data, column[counts.indices], counts.indptr),
+                           shape=(len(docs), len(kept)))
+    values.sort_indices()
+    tf = DocTermMatrix(values, "tf", tuple(d.doc_id for d in docs))
     return Vocabulary(dict(zip(terms, range(len(terms)))), terms, dfreq[kept]), tf
 
 
@@ -207,10 +214,11 @@ def _count(docs: list[TokenizedDocument], codes: Mapping[str, int],
     """
     indptr = np.cumsum([0, *map(len, (d.tokens for d in docs))])
     cols = map(codes.__getitem__, chain.from_iterable(d.tokens for d in docs))
-    cols = np.fromiter(cols, np.int64, indptr[-1])
-    mat = sp.csr_matrix((np.ones(indptr[-1]), cols, indptr), shape=(len(docs), n_cols or len(codes)))
-    mat.sum_duplicates()  # sorts each row's columns and sums the repeats
-    return mat
+    cols = np.fromiter(cols, np.int32, indptr[-1])
+    ones = np.ones(indptr[-1], np.int32)
+    mat = sp.csr_matrix((ones, cols, indptr), shape=(len(docs), n_cols or len(codes)))
+    mat.sum_duplicates()  # sorts each row's columns and sums the repeats, exactly in int32
+    return mat.astype(np.float64)  # compact copies: the token-length arrays go
 
 
 def tf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMatrix:
@@ -236,12 +244,16 @@ def tfidf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMat
 
 
 def _tfidf(tf: DocTermMatrix, vocab: Vocabulary) -> DocTermMatrix:
+    """TF-IDF on ``tf``'s own ``indices`` and ``indptr``: one new data array, scaled in place."""
     idf = np.log((1.0 + tf.shape[0]) / (1.0 + vocab.doc_freq.astype(np.float64))) + 1.0
-    mat = tf.values.copy()  # each entry scaled in place, so canonical like tf
-    mat.data *= idf[mat.indices]
-    norms = sp.linalg.norm(mat, axis=1)
+    data = idf[tf.values.indices] * tf.values.data
+    lengths = np.diff(tf.values.indptr)
+    rows = np.flatnonzero(lengths)
+    norms = np.zeros(tf.shape[0])  # summed by np.add.reduceat, as scipy's norm(axis=1) sums
+    norms[rows] = np.sqrt(np.add.reduceat(np.square(data), tf.values.indptr[rows]))
     scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
-    mat.data *= np.repeat(scale, np.diff(mat.indptr))
+    data *= np.repeat(scale, lengths)
+    mat = sp.csr_matrix((data, tf.values.indices, tf.values.indptr), shape=tf.shape)
     return DocTermMatrix(mat, "tfidf", tf.doc_ids)
 
 

@@ -117,6 +117,66 @@ class TestCountOnce:
         assert csr_bytes(bundle.tf.values) == seen["tf_before"]
 
 
+class TestCorpusPhase:
+    """The sweep's vocabulary, TF, TF-IDF and tensor against the public route, bit for bit."""
+
+    WORDS = ["coal", "seam", "drill", "gold", "vein", "assay", "Zürich", "ÉTUDE", "naïve",
+             "straße", "Öl", "BORE"]
+
+    def write_corpus(self, rng, path):
+        texts = ["coal seam Zürich", "coal Zürich Öl"]  # terms that reach min_df=2
+        for i in range(int(rng.integers(6, 18))):
+            kind = rng.integers(4)
+            if kind == 0:
+                texts.append("the of and 2024")  # empty after preprocessing
+            elif kind == 1:
+                texts.append(f"zircon{chr(97 + i)} Ærø{chr(97 + i)}")  # terms under min_df
+            else:  # repeated tokens
+                words = rng.choice(self.WORDS, int(rng.integers(1, 6)))
+                texts.append(" ".join(np.repeat(words, rng.integers(1, 4, len(words)))))
+        order = rng.permutation(len(texts))
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in order:
+                fh.write(json.dumps({"doc_id": f"d{i:02d}", "company_id": f"c{i % 3}",
+                                     "text": texts[i]}, ensure_ascii=False) + "\n")
+
+    def test_bundle_equals_the_public_route(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2023)
+        seen = {}
+
+        def capture(method, k, bundle, *args):
+            seen["bundle"] = bundle
+            return {"method": method, "k": k, "status": "failed", "converged": None}
+
+        monkeypatch.setattr(cli, "_run_cell", capture)
+        for trial in range(12):
+            path = tmp_path / f"c{trial}.jsonl"
+            self.write_corpus(rng, path)
+            run_experiment(RunConfig(corpus_path=str(path), methods=("nmf",), k_values=(2,),
+                                     min_df=2, out_dir=str(tmp_path / f"out{trial}")))
+            bundle = seen.pop("bundle")
+            raw = load_corpus(path)
+            tokenized, empty = preprocess_corpus(raw)
+            vocab, tf = vectorize.count_terms([t for t in tokenized if not t.is_empty], 2)
+            docs = [t for t in tokenized if any(token in vocab for token in t.tokens)]
+            assert empty and len(docs) < len(tokenized) - len(empty)
+            assert bundle.vocab.index_to_term == vocab.index_to_term
+            assert bundle.vocab.doc_freq.tobytes() == vocab.doc_freq.tobytes()
+            assert bundle.tf.doc_ids == bundle.tfidf.doc_ids == tuple(d.doc_id for d in docs)
+            for want in (vectorize.count_terms(docs, 2)[1], vectorize.tf_matrix(docs, vocab)):
+                assert csr_bytes(bundle.tf.values) == csr_bytes(want.values)
+            want = vectorize.tfidf_matrix(docs, vocab)
+            assert csr_bytes(bundle.tfidf.values) == csr_bytes(want.values)
+            tensor = vectorize.build_tensor(docs, vocab, {d.doc_id: d.company_id for d in raw})
+            assert csr_bytes(bundle.tensor.pairs) == csr_bytes(tensor.pairs)
+            for name in ("pair_doc", "pair_company"):
+                assert getattr(bundle.tensor, name).tobytes() == getattr(tensor, name).tobytes()
+            assert bundle.tensor.company_ids == tensor.company_ids
+            for name in ("indices", "indptr"):
+                assert np.shares_memory(getattr(bundle.tfidf.values, name),
+                                        getattr(bundle.tf.values, name))
+
+
 class TestSelectBest:
     def test_margin_then_keyword_rule(self):
         summaries = [
@@ -486,6 +546,27 @@ class TestMainExitCodes:
         printed = capsys.readouterr()
         assert printed.out == f"corpus error: {line}\n" and printed.err == ""
         assert fitted == [] and not (tmp_path / "out").exists()
+
+    def test_all_documents_empty_after_preprocessing_is_2(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "allstop.jsonl"
+        corpus.write_text("".join(json.dumps({"doc_id": doc_id, "company_id": "c1",
+                                              "text": "The of and 2024."}) + "\n"
+                                  for doc_id in ("a", "b")))
+        fitted = []
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
+        assert main(["--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out == (
+            "corpus error: allstop.jsonl: all 2 documents are empty after preprocessing\n")
+        assert fitted == [] and not (tmp_path / "out").exists()
+
+    def test_misspelt_key_is_2_before_the_filter(self, tmp_path, capsys):
+        corpus = write_mini_corpus(tmp_path / "reports.jsonl", n_per_topic=2)
+        corpus.write_text(corpus.read_text().replace('"category"', '"catgory"', 1))
+        assert main(["--corpus", str(corpus), "--filter", "category=coal",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out == (
+            "corpus error: reports.jsonl:1: unknown key 'catgory'; "
+            "keys are doc_id, company_id, text, year, report_type, category\n")
 
     def test_manifest_records_the_pyproject_version(self, tmp_path, capsys):
         pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text("utf-8")

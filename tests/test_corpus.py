@@ -398,6 +398,15 @@ class TestLoadJsonl:
                                               rf"\(repeated key '{key}'\)$"):
             load_corpus(path)
 
+    def test_unknown_key_names_line_and_key(self, tmp_path):
+        path = tmp_path / "reports.jsonl"
+        path.write_text(json.dumps({"doc_id": "r1", "company_id": "c1", "text": "coal",
+                                    "catgory": "coal"}) + "\n")
+        with pytest.raises(CorpusError, match=r"^reports\.jsonl:1: unknown key 'catgory'; keys "
+                                              r"are doc_id, company_id, text, year, report_type, "
+                                              r"category$"):
+            load_corpus(path)
+
 
 class TestLoadTextDir:
     def test_text_dir_with_manifest(self, tmp_path):
@@ -421,6 +430,25 @@ class TestLoadTextDir:
         (tmp_path / "a.txt").write_text("coal seam gas")
         (tmp_path / "manifest.csv").write_text("doc_id,company_id,company_id\na,c1,c9\n")
         with pytest.raises(CorpusError, match=r"^manifest\.csv: repeated column 'company_id'$"):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize("header", ["doc_id,company_id,catgory", "doc_id,company_id,text",
+                                        "doc_id,company_id,"])
+    def test_unknown_manifest_column(self, tmp_path, header):
+        (tmp_path / "a.txt").write_text("coal seam gas")
+        (tmp_path / "manifest.csv").write_text(f"{header}\na,c1,coal\n")
+        column = header.split(",")[-1]
+        with pytest.raises(CorpusError, match=rf"^manifest\.csv: unknown column '{column}'; "
+                                              r"columns are doc_id, company_id, year, "
+                                              r"report_type, category$"):
+            load_corpus(tmp_path)
+
+    def test_row_longer_than_the_header(self, tmp_path):
+        (tmp_path / "a.txt").write_text("coal seam gas")
+        (tmp_path / "b.txt").write_text("gold ore body")
+        (tmp_path / "manifest.csv").write_text("doc_id,company_id,year\na,c1,2005\n"
+                                               "b,c2,2006,coal,annual\n")
+        with pytest.raises(CorpusError, match=r"^manifest\.csv:3: 5 fields, the header has 3$"):
             load_corpus(tmp_path)
 
     def test_no_documents(self, tmp_path):
@@ -618,5 +646,6 @@ class TestMalformedInput:
                 assert "Traceback" not in printed.err
         assert fitted == [] and 20 < len(errors) < 180
         for kind in ("repeated key", "repeated column", "control character", "no manifest row",
-                     "corpus.jsonl: no documents", "manifest.csv: no documents"):
+                     "corpus.jsonl: no documents", "manifest.csv: no documents",
+                     "unknown column 'category\\x00'"):
             assert any(kind in error for error in errors), kind

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -274,9 +275,29 @@ class TestTfidfMatrix:
         for _ in range(20):
             docs, min_df = random_corpus(rng)
             vocab, tf = count_terms(docs, min_df=min_df)  # the run's TF-IDF is _tfidf(tf, vocab)
+            tfidf = _tfidf(tf, vocab).values
+            assert tf.values.has_canonical_format and tfidf.has_canonical_format
+            assert np.shares_memory(tfidf.indices, tf.values.indices)
+            assert np.shares_memory(tfidf.indptr, tf.values.indptr)
             docs.append(toks("empty", []))
-            assert _tfidf(tf, vocab).values.has_canonical_format
             assert tfidf_matrix(docs, vocab).values.has_canonical_format
+
+    def test_rows_scaled_by_scipys_norm_bit_for_bit(self):
+        """Empty rows and one-entry rows included: the scale is 1 / ``norm(axis=1)``."""
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            docs = [toks(f"d{i}", rng.choice(["a", "b", "c", "d"], int(rng.integers(0, 3)) ** 3))
+                    for i in range(int(rng.integers(1, 12)))]
+            if not any(d.tokens for d in docs):
+                continue
+            vocab, tf = count_terms(docs)
+            idf = np.log((1.0 + tf.shape[0]) / (1.0 + vocab.doc_freq)) + 1.0
+            weighted = tf.values.copy()
+            weighted.data *= idf[weighted.indices]
+            norms = sp.linalg.norm(weighted, axis=1)
+            scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+            want = weighted.data * np.repeat(scale, np.diff(weighted.indptr))
+            assert _tfidf(tf, vocab).values.data.tobytes() == want.tobytes()
 
     def test_rows_unit_or_zero_norm(self, rng):
         for _ in range(100):
@@ -287,6 +308,41 @@ class TestTfidfMatrix:
             norms = np.sqrt(np.asarray(values.multiply(values).sum(axis=1))).ravel()
             for n in norms:
                 assert abs(n - 1.0) < 1e-12 or n == 0.0
+
+
+def _traced_peak(call, *args) -> int:
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPeakMemory:
+    """Traced peaks, counted in float64 arrays of one entry per token or per stored entry."""
+
+    @staticmethod
+    def zipf_corpus():
+        """1500 documents of 0-120 tokens over 3000 terms, a tail of them under min_df=3."""
+        rng = np.random.default_rng(3)
+        p = 1.0 / np.arange(1, 3001)
+        terms = np.array([f"t{i}" for i in range(3000)])
+        return [toks(f"d{i}", rng.choice(terms, int(rng.integers(0, 121)), p=p / p.sum()).tolist())
+                for i in range(1500)]
+
+    def test_count_terms(self):
+        docs = self.zipf_corpus()
+        n_tokens = sum(len(d.tokens) for d in docs)
+        # an int32 code and an int32 one per token, then the counts copied compact as float64;
+        # int64 codes, float64 ones or a copy of TF to order its columns take it past three
+        assert _traced_peak(count_terms, docs, 3) < 3 * 8 * n_tokens
+
+    def test_tfidf(self):
+        vocab, tf = count_terms(self.zipf_corpus(), 3)
+        # the new data array and one temporary at a time: the squares, then the row scales;
+        # a copy of TF, or scipy's norm with its two copies, takes it past three
+        assert _traced_peak(_tfidf, tf, vocab) < 3 * 8 * tf.values.nnz
 
 
 class TestTensor:
