@@ -362,24 +362,22 @@ def run_experiment(config: RunConfig) -> RunManifest:
     n_docs = len(docs)
     if n_docs < n_loaded:
         notices.append(f"metadata filters dropped {n_loaded - n_docs} document(s)")
-    if not docs:
-        raise CorpusError("no documents left after filtering")
 
     company_map = {d.doc_id: d.company_id for d in docs}
     stops = StopwordList.with_extra(config.extra_stopwords)
     tokenized, empty_ids = preprocess_corpus(docs, stops)
     del raw_docs, docs  # no text is read past preprocessing
-    if len(empty_ids) == n_docs:
-        raise CorpusError(f"{Path(config.corpus_path).name}: all {n_docs} documents are "
-                          "empty after preprocessing")
     if empty_ids:
         notices.append(f"{len(empty_ids)} document(s) empty after preprocessing: "
                        f"{', '.join(empty_ids)}")
 
     try:  # counted once; TF-IDF and the tensor derive from it
+        if len(empty_ids) == n_docs:
+            raise ValueError(f"all {n_docs} documents are empty after preprocessing" if n_docs
+                             else "no documents left after filtering")
         vocab, tf = count_terms([t for t in tokenized if not t.is_empty], min_df=config.min_df)
-    except ValueError as exc:
-        raise CorpusError(str(exc)) from exc
+    except ValueError as exc:  # every corpus-phase error names the corpus file
+        raise CorpusError(f"{Path(config.corpus_path).name}: {exc}") from exc
     del tokenized  # not needed past the count: the fits can reuse its memory
     has_term = np.diff(tf.values.indptr) > 0  # min_df can leave a document no term
     dropped_oov = [doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if not ok]

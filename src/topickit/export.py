@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import os
-import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,17 +30,14 @@ def atomic_write_text(path: Path, text: str) -> None:
     ``open(path, "w")`` would give it (0666 less the umask)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")  # a new file: the OS applies the umask
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             fh.write(text)
-        umask = os.umask(0o022)  # the only way to read it is to set it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # not mkstemp's 0600
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import gammaln, psi
 
-from .vectorize import DocTermMatrix, check_k, check_nonnegative, check_setting
+from .vectorize import DocTermMatrix, check_k, check_nonnegative, check_setting, settled
 
 __all__ = ["LdaConfig", "LdaModel", "fit_lda", "lda_elbo"]
 
@@ -210,11 +210,9 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
         lam = beta + _sstats(mat, blocks, ratio, psi_theta[1], expElogbeta)
         bound, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta, lengths,
                                              psi_theta)
-        if not (np.isfinite(bound) and np.all(np.isfinite(gamma)) and np.all(np.isfinite(lam))):
-            raise RuntimeError(f"LDA update produced NaN/Inf at iteration {iteration + 1}")
-        trace.append(bound)
-        if len(trace) > 1 and abs(bound - trace[-2]) <= config.tol * abs(trace[-2]):
-            converged = True
+        converged = settled(trace, bound, config.tol, "LDA", f"iteration {iteration + 1}",
+                            gamma, lam)
+        if converged:
             break
         change, prev = abs(bound - prev) / abs(prev), bound
 

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, svds
 
-from .vectorize import DocTermMatrix, check_k, check_nonnegative, check_setting
+from .vectorize import DocTermMatrix, check_k, check_nonnegative, check_setting, settled
 
 __all__ = ["NmfModel", "nndsvd_init", "nmf_objective", "fit_nmf"]
 
@@ -166,10 +166,10 @@ def fit_nmf(
 
     The objective trace starts at the initial point and gains one entry
     per iteration; it is non-increasing.  Iteration stops when the
-    relative objective change drops below ``tol`` or after ``max_iter``
-    updates.  With the deterministic NNDSVD start the result does not
-    depend on ``seed``; an explicit ``init=(doc_topic0, topic_term0)``
-    overrides it.
+    objective is 0 or changes by at most ``tol`` of itself, or after
+    ``max_iter`` updates.  With the deterministic NNDSVD start the result
+    does not depend on ``seed``; an explicit ``init=(doc_topic0,
+    topic_term0)`` overrides it.
     """
     check_setting("max_iter", max_iter, 1)
     check_setting("tol", tol, 0, integer=False)
@@ -195,13 +195,9 @@ def fit_nmf(
         wtw = w.T @ w
         h = h * (wtx / (wtw @ h + _EPS))
         hht = h @ h.T
-        obj = _half_residual(norm_x_sq, wtx, wtw, h, hht)
-        if not (np.isfinite(obj) and np.all(np.isfinite(w)) and np.all(np.isfinite(h))):
-            raise RuntimeError(f"NMF update produced NaN/Inf at iteration {iteration + 1}")
-        prev = trace[-1]
-        trace.append(obj)
-        if abs(prev - obj) <= tol * max(prev, np.finfo(float).tiny):
-            converged = True
+        converged = settled(trace, _half_residual(norm_x_sq, wtx, wtw, h, hht), tol,
+                            "NMF", f"iteration {iteration + 1}", w, h)
+        if converged:
             break
 
     return NmfModel(

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nmf import residual_norm_sq
-from .vectorize import DocCompanyTermTensor, _indicator, check_k, check_nonnegative, check_setting
+from .vectorize import (DocCompanyTermTensor, _indicator, check_k, check_nonnegative,
+                        check_setting, settled)
 
 __all__ = ["NtfModel", "fit_ntf", "cp_reconstruction_error"]
 
-_TINY = 1e-300
 # Column updates clamp to this floor rather than exact zero: a (row,
 # component) pair that hits hard zero in two modes at once could never
 # regrow (its update numerator stays zero forever), while a floored pair
@@ -114,12 +114,8 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
         gc = _hals(c, m_term, ga * gb)
 
         err = residual_norm_sq(norm_x_sq, float(np.sum(m_term * c)), (ga, gb, gc))
-        if not (np.isfinite(err) and all(np.all(np.isfinite(f)) for f in factors)):
-            raise RuntimeError(f"CP update produced NaN/Inf at sweep {sweep + 1}")
-        prev = trace[-1] if trace else None
-        trace.append(err)
-        if err == 0.0 or (prev is not None and abs(prev - err) <= tol * max(prev, _TINY)):
-            converged = True
+        converged = settled(trace, err, tol, "CP", f"sweep {sweep + 1}", *factors)
+        if converged:
             break
 
     return NtfModel(doc_factor=a, company_factor=b, term_factor=c,

@@ -14,7 +14,8 @@ from one TF count (``tfidf_matrix`` and ``build_tensor`` count it first);
 the tensor's pair rows are that TF matrix, shared, not copied, so no
 caller may write into either.
 
-It also holds the input checks that the run configuration and the solvers share.
+It also holds the input checks that the run configuration and the solvers
+share, and the one rule by which all three solvers stop or fail.
 
 Everything here is deterministic: vocabulary order is total frequency
 descending with lexicographic tie-break, and all sparse structures keep
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -159,6 +159,17 @@ def check_nonnegative(mat, what: str, row_ids=None) -> None:
         raise ValueError(f"{what} must be nonnegative and finite: {where}")
 
 
+def settled(trace: list, value: float, tol: float, solver: str, step: str, *arrays) -> bool:
+    """Append ``value`` to ``trace``: True if it is exactly 0 or moved by at most ``tol``
+    times the previous value's magnitude (floored at the smallest normal float).  Raise
+    RuntimeError, naming ``solver`` and ``step``, if it or an array holds a NaN or an inf."""
+    if not (math.isfinite(value) and all(np.isfinite(a).all() for a in arrays)):
+        raise RuntimeError(f"{solver} update produced NaN/Inf at {step}")
+    trace.append(value)
+    return bool(value == 0.0 or len(trace) > 1
+                and abs(value - trace[-2]) <= tol * max(abs(trace[-2]), sys.float_info.min))
+
+
 def build_vocabulary(docs: Iterable[TokenizedDocument], min_df: int = 1) -> Vocabulary:
     """The vocabulary of ``count_terms(docs, min_df)``."""
     return count_terms(docs, min_df)[0]
@@ -206,17 +217,13 @@ class _Codes(dict):
         return code
 
 
-def _count(docs: list[TokenizedDocument], codes: Mapping[str, int],
-           n_cols: int | None = None) -> sp.csr_matrix:
-    """Canonical CSR counts of each document's tokens, by their column in ``codes``.
-
-    ``n_cols`` defaults to the size of ``codes`` after the pass, which may add codes.
-    """
+def _count(docs: list[TokenizedDocument], codes: _Codes) -> sp.csr_matrix:
+    """Canonical CSR counts of each document's tokens, by their code; one column per code."""
     indptr = np.cumsum([0, *map(len, (d.tokens for d in docs))])
     cols = map(codes.__getitem__, chain.from_iterable(d.tokens for d in docs))
     cols = np.fromiter(cols, np.int32, indptr[-1])
     ones = np.ones(indptr[-1], np.int32)
-    mat = sp.csr_matrix((ones, cols, indptr), shape=(len(docs), n_cols or len(codes)))
+    mat = sp.csr_matrix((ones, cols, indptr), shape=(len(docs), len(codes)))
     mat.sum_duplicates()  # sorts each row's columns and sums the repeats, exactly in int32
     return mat.astype(np.float64)  # compact copies: the token-length arrays go
 
@@ -228,8 +235,8 @@ def tf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMatrix
     sums to the document's token count.  The matrix is canonical CSR:
     each row lists its terms once, in index order.
     """
-    oov = len(vocab)  # the column that tokens outside the vocabulary are counted in, then cut
-    mat = _count(docs, defaultdict(lambda: oov, vocab.term_to_index), oov + 1)[:, :oov]
+    # Stems outside the vocabulary get codes past its columns, which are then cut.
+    mat = _count(docs, _Codes(vocab.term_to_index))[:, :len(vocab)]
     return DocTermMatrix(mat, "tf", tuple(d.doc_id for d in docs))
 
 

@@ -559,6 +559,22 @@ class TestMainExitCodes:
             "corpus error: allstop.jsonl: all 2 documents are empty after preprocessing\n")
         assert fitted == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, why", [
+        (["--min-df", "2"], "no term reaches min_df=2"),
+        (["--filter", "year=1990"], "no documents left after filtering"),
+    ])
+    def test_empty_vocabulary_or_filter_is_2_naming_the_file(self, tmp_path, capsys, monkeypatch,
+                                                             flags, why):
+        corpus = tmp_path / "two.jsonl"
+        corpus.write_text("".join(json.dumps({"doc_id": doc_id, "company_id": "c1", "year": 2020,
+                                              "text": text}) + "\n"
+                                  for doc_id, text in (("a", "coal seam"), ("b", "gold vein"))))
+        fitted = []
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
+        assert main(["--corpus", str(corpus), *flags, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().out == f"corpus error: two.jsonl: {why}\n"
+        assert fitted == [] and not (tmp_path / "out").exists()
+
     def test_misspelt_key_is_2_before_the_filter(self, tmp_path, capsys):
         corpus = write_mini_corpus(tmp_path / "reports.jsonl", n_per_topic=2)
         corpus.write_text(corpus.read_text().replace('"category"', '"catgory"', 1))

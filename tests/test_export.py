@@ -4,7 +4,8 @@ import stat
 import numpy as np
 import pytest
 
-from topickit.export import sig12, write_csv, write_factor_csv, write_json
+from topickit import export
+from topickit.export import atomic_write_text, sig12, write_csv, write_factor_csv, write_json
 
 
 def test_write_csv_formats_each_cell(tmp_path):
@@ -82,3 +83,22 @@ def test_files_get_the_mode_open_would_give(tmp_path, umask):
         os.umask(old)
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
     assert modes == dict.fromkeys(("t.csv", "f.csv", "m.json", "plain.txt"), 0o666 & ~umask)
+
+
+def test_writing_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    old = os.umask(0o027)
+    try:  # another thread may be creating files: the umask is never set, even for a moment
+        monkeypatch.setattr(export.os, "umask", lambda mask: pytest.fail("os.umask called"))
+        atomic_write_text(tmp_path / "a.txt", "x")
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "a.txt").stat().st_mode) == 0o640
+
+
+def test_failed_replace_leaves_no_temp_file(tmp_path):
+    (tmp_path / "out.csv").mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError):
+        atomic_write_text(tmp_path / "out.csv", "a\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert (tmp_path / "out.csv").is_dir()

@@ -321,6 +321,17 @@ class TestFit:
         with pytest.raises(ValueError, match="nonnegative and finite"):
             fit_nmf(x, 2)
 
+    def test_overflowing_update_raises(self):
+        start = (np.ones((4, 2)), np.ones((2, 5)))
+        with np.errstate(all="ignore"), pytest.raises(
+                RuntimeError, match=r"^NMF update produced NaN/Inf at iteration 1$"):
+            fit_nmf(np.full((4, 5), 1e200), 2, init=start)
+
+    def test_stops_at_an_exact_zero_objective(self):
+        # A zero matrix zeroes both factors in one update: the objective goes 24 -> 0.
+        model = fit_nmf(np.zeros((3, 4)), 2, init=(np.ones((3, 2)), np.ones((2, 4))))
+        assert model.objective_trace == [24.0, 0.0] and model.converged
+
     def test_init_shape_mismatch_rejected(self):
         x = np.ones((4, 5))
         with pytest.raises(ValueError, match="do not match"):

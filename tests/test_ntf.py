@@ -210,6 +210,11 @@ class TestFit:
         np.testing.assert_allclose(cp_reconstruction_error(tensor, coo_fit),
                                    error_oracle(dense, coo_fit), rtol=1e-9)
 
+    def test_overflowing_update_raises(self):
+        with np.errstate(all="ignore"), pytest.raises(
+                RuntimeError, match=r"^CP update produced NaN/Inf at sweep 1$"):
+            fit_ntf(np.full((3, 2, 4), 1e200), 2)
+
     def test_sweeps_match_dense_hals(self):
         for seed in range(5):
             tensor = random_sparse_tensor(np.random.default_rng(seed), (9, 4, 11), nnz=90)

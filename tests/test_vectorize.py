@@ -15,6 +15,7 @@ from topickit.vectorize import (
     build_vocabulary,
     check_nonnegative,
     count_terms,
+    settled,
     tf_matrix,
     tfidf_matrix,
 )
@@ -193,6 +194,36 @@ class TestCheckNonnegative:
     def test_clean_and_empty_inputs_pass(self):
         for mat in (np.zeros((3, 2)), sp.csr_matrix((3, 2)), np.empty((0, 4)), np.array([])):
             check_nonnegative(mat, "X")
+
+
+class TestSettled:
+    """The stop-and-fail rule of LDA, NMF and NTF."""
+
+    def test_a_first_value_settles_only_at_zero(self):
+        assert not settled([], 5.0, 1.0, "NMF", "iteration 1")
+        assert settled([], 0.0, 0.0, "NMF", "iteration 1")
+
+    def test_exact_zero_settles_whatever_came_before(self):
+        trace = [3.0]
+        assert settled(trace, 0.0, 0.0, "NMF", "iteration 1")
+        assert trace == [3.0, 0.0]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])  # LDA's bound is negative
+    def test_a_change_of_exactly_tol_times_previous_settles(self, sign):
+        for value, settles in ((3.0, True), (5.0, True), (2.75, False), (5.25, False)):
+            assert settled([sign * 4.0], sign * value, 0.25, "LDA", "iteration 2") is settles
+
+    def test_previous_zero_is_floored_at_the_smallest_normal(self):
+        assert settled([0.0], 1e-320, 1.0, "CP", "sweep 2")
+        assert not settled([0.0], 1e-300, 1.0, "CP", "sweep 2")
+
+    @pytest.mark.parametrize("value, factor", [(1.0, np.nan), (1.0, -np.inf), (np.nan, 1.0),
+                                               (np.inf, 1.0)])
+    def test_nan_or_inf_raises_naming_solver_and_step(self, value, factor):
+        trace = [2.0]
+        with pytest.raises(RuntimeError, match=r"^CP update produced NaN/Inf at sweep 3$"):
+            settled(trace, value, 0.5, "CP", "sweep 3", np.ones((2, 2)), np.array([[1.0, factor]]))
+        assert trace == [2.0]
 
 
 class TestTfMatrix:
