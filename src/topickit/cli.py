@@ -31,8 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import __version__
-from .corpus import (STRICT_JSON, CorpusError, RawDocument, StopwordList, has_lone_surrogate,
-                     load_corpus, preprocess_corpus)
+from .corpus import (STRICT_JSON, CorpusError, RawDocument, StopwordList, _read_corpus,
+                     has_lone_surrogate, preprocess_corpus)
 from .evaluate import build_report
 from .export import write_csv, write_factor_csv, write_json
 from .lda import LdaConfig, fit_lda
@@ -206,16 +206,12 @@ class _CorpusBundle:
     doc_companies: list[str]
 
 
-def _apply_filters(docs: list[RawDocument], filters: dict) -> list[RawDocument]:
-    out = docs
-    if "year" in filters:
-        lo, hi = filters["year"]
-        out = [d for d in out if d.year is not None and lo <= d.year <= hi]
-    if "category" in filters:
-        out = [d for d in out if d.category == filters["category"]]
-    if "report_type" in filters:
-        out = [d for d in out if d.report_type == filters["report_type"]]
-    return out
+def _passes(doc: RawDocument, filters: dict) -> bool:
+    """Whether ``doc`` meets every metadata filter."""
+    lo, hi = filters.get("year", (None, None))
+    return ((lo is None or doc.year is not None and lo <= doc.year <= hi)
+            and filters.get("category", doc.category) == doc.category
+            and filters.get("report_type", doc.report_type) == doc.report_type)
 
 
 def _fit_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig):
@@ -356,17 +352,21 @@ def run_experiment(config: RunConfig) -> RunManifest:
     out_dir = Path(config.out_dir)
     notices: list[str] = []
 
-    raw_docs = load_corpus(config.corpus_path)
-    n_loaded = len(raw_docs)
-    docs = _apply_filters(raw_docs, config.filters)
-    n_docs = len(docs)
+    n_loaded, company_map = 0, {}  # records read; each kept document's company
+
+    def kept_documents():  # one record at a time, so no text outlives its tokens
+        nonlocal n_loaded
+        for doc in _read_corpus(config.corpus_path):
+            n_loaded += 1
+            if _passes(doc, config.filters):
+                company_map[doc.doc_id] = doc.company_id
+                yield doc
+
+    stops = StopwordList.with_extra(config.extra_stopwords)
+    tokenized, empty_ids = preprocess_corpus(kept_documents(), stops)
+    n_docs = len(tokenized)
     if n_docs < n_loaded:
         notices.append(f"metadata filters dropped {n_loaded - n_docs} document(s)")
-
-    company_map = {d.doc_id: d.company_id for d in docs}
-    stops = StopwordList.with_extra(config.extra_stopwords)
-    tokenized, empty_ids = preprocess_corpus(docs, stops)
-    del raw_docs, docs  # no text is read past preprocessing
     if empty_ids:
         notices.append(f"{len(empty_ids)} document(s) empty after preprocessing: "
                        f"{', '.join(empty_ids)}")

@@ -21,6 +21,7 @@ import re
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .porter import stem
 
@@ -126,7 +127,7 @@ _ASCII_RUNS = str.maketrans({chr(c): chr(c).lower() if chr(c).isalpha() else
 def _runs(text: str) -> list[str]:
     if text.isascii():
         return text.translate(_ASCII_RUNS).split()
-    return _WORD_RE.findall(text)  # not lowercased first: "İ".lower() adds a U+0307
+    return list(map(str.lower, _WORD_RE.findall(text)))  # split first: "İ".lower() adds U+0307
 
 
 def tokenize(text: str) -> list[str]:
@@ -157,20 +158,15 @@ def preprocess(doc: RawDocument, stops: StopwordList | None = None) -> Tokenized
     """
     if stops is None:
         stops = StopwordList()
-    return _preprocess(doc, _StemMemo.fromkeys(stops.base | stops.extra))
+    return _StemMemo.fromkeys(stops.base | stops.extra).tokenized(doc)
 
 
 class _TokenMemo(dict):
-    """Run -> lowercase token, or None for a run ``tokenize`` drops.  A run not in
-    lowercase resolves through its lowercase form, so a stop-word seeded as None drops it."""
+    """Lowercase run -> token, or None for a run ``tokenize`` drops or a stop-word."""
 
     def __missing__(self, run: str) -> str | None:
-        if not run.isalpha() and any(map(str.isdigit, run)):
-            self[run] = None
-        elif (lower := run.lower()) != run:
-            self[run] = self[lower]
-        else:
-            self[run] = self._keep(run) if len(run) >= 3 else None
+        digit = not run.isalpha() and any(map(str.isdigit, run))
+        self[run] = None if digit or len(run) < 3 else self._keep(run)
         return self[run]
 
     _keep = staticmethod(lambda token: token)
@@ -184,16 +180,16 @@ class _StemMemo(_TokenMemo):
     def _keep(self, token: str) -> str:
         return stem(token)
 
-
-def _preprocess(doc: RawDocument, stems: _StemMemo) -> TokenizedDocument:
-    tokens = tuple(filter(None, map(stems.__getitem__, _runs(doc.text))))
-    return TokenizedDocument(doc_id=doc.doc_id, tokens=tokens)
+    def tokenized(self, doc: RawDocument) -> TokenizedDocument:
+        tokens = tuple(filter(None, map(self.__getitem__, _runs(doc.text))))
+        return TokenizedDocument(doc_id=doc.doc_id, tokens=tokens)
 
 
 def preprocess_corpus(
-    docs: list[RawDocument], stops: StopwordList | None = None
+    docs: Iterable[RawDocument], stops: StopwordList | None = None
 ) -> tuple[list[TokenizedDocument], list[str]]:
-    """Preprocess every document in input order.
+    """Preprocess every document in input order, taking each from ``docs`` once, so
+    a generator's texts can be freed one by one as their tokens are made.
 
     Returns the tokenized documents (including empty ones) plus the ids of
     documents that became empty, so run reports can reconcile counts.
@@ -203,7 +199,7 @@ def preprocess_corpus(
     # Most runs repeat (about 17k distinct tokens in 166k at 1000 report-like
     # documents), so each distinct run is judged and stemmed once per call.
     stems = _StemMemo.fromkeys(stops.base | stops.extra)
-    tokenized = [_preprocess(d, stems) for d in docs]
+    tokenized = list(map(stems.tokenized, docs))  # map holds no document past its call
     empty_ids = [t.doc_id for t in tokenized if t.is_empty]
     if empty_ids:
         logger.warning("%d document(s) empty after preprocessing: %s",
@@ -214,25 +210,26 @@ def preprocess_corpus(
 def load_corpus(path: str | Path) -> list[RawDocument]:
     """Load raw documents from disk: a directory as a text directory, a file as JSON Lines.
 
-    JSON Lines: one object per line with required keys doc_id, company_id, text
-    and optional year, report_type, category.  A text directory: one document per
-    ``*.txt`` file (doc_id = file stem) and a sidecar ``manifest.csv`` with columns
-    doc_id, company_id and optional year, report_type, category, one row per file.  Any
-    other path, duplicate doc_ids, unknown or repeated keys or columns, invalid UTF-8,
-    malformed records and a corpus with no documents are a CorpusError, naming the
-    offending location first.
+    JSON Lines: one object per line with required keys doc_id, company_id, text and
+    optional year, report_type, category.  A text directory: one document per ``*.txt``
+    file (doc_id = file stem) and a sidecar ``manifest.csv`` with columns doc_id,
+    company_id and optional year, report_type, category, one row per file.  Any other
+    path, duplicate doc_ids, unknown or repeated keys or columns, invalid UTF-8, malformed
+    records and a corpus with no documents are a CorpusError, naming the offending
+    location first.  A sweep reads the same records, one at a time (``_read_corpus``).
     """
+    return list(_read_corpus(path))
+
+
+def _read_corpus(path: str | Path) -> Iterator[RawDocument]:
+    """``load_corpus``'s records, each read and checked as it is asked for (a manifest first)."""
     path = Path(path)
     if path.is_dir():
-        docs, source = _load_text_dir(path), "manifest.csv"
-    elif path.is_file():
-        docs, source = _load_jsonl(path), path.name
-    else:
-        what = "is not a file or a directory" if path.exists() else "does not exist"
-        raise CorpusError(f"corpus path {what}: {path}")
-    if not docs:
-        raise CorpusError(f"{source}: no documents")
-    return docs
+        return _read_text_dir(path)
+    if path.is_file():
+        return _read_jsonl(path)
+    what = "is not a file or a directory" if path.exists() else "does not exist"
+    raise CorpusError(f"corpus path {what}: {path}")
 
 
 def _coerce_year(value) -> int | None:
@@ -292,8 +289,8 @@ STRICT_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
 RECORD_KEYS = ("doc_id", "company_id", "text", "year", "report_type", "category")
 
 
-def _load_jsonl(path: Path) -> list[RawDocument]:
-    docs: dict[str, RawDocument] = {}
+def _read_jsonl(path: Path) -> Iterator[RawDocument]:
+    ids: set[str] = set()
     with open(path, "rb") as fh:  # JSON Lines: records end at b"\n"
         for lineno, raw in enumerate(fh, start=1):
             where = f"{path.name}:{lineno}"
@@ -315,10 +312,12 @@ def _load_jsonl(path: Path) -> list[RawDocument]:
                 raise CorpusError(f"{where}: unknown key {unknown[0]!r}; "
                                   f"keys are {', '.join(RECORD_KEYS)}")
             doc = _document(record, where)
-            if doc.doc_id in docs:
+            if doc.doc_id in ids:
                 raise CorpusError(f"{where}: duplicate doc_id {doc.doc_id!r}")
-            docs[doc.doc_id] = doc
-    return list(docs.values())
+            ids.add(doc.doc_id)
+            yield doc
+    if not ids:
+        raise CorpusError(f"{path.name}: no documents")
 
 
 def _read_utf8(path: Path) -> str:
@@ -332,7 +331,7 @@ def _read_utf8(path: Path) -> str:
         raise CorpusError(f"{path.name}: not valid UTF-8 at byte {exc.start}") from None
 
 
-def _load_text_dir(path: Path) -> list[RawDocument]:
+def _read_text_dir(path: Path) -> Iterator[RawDocument]:
     manifest = path / "manifest.csv"
     texts = {txt.stem: txt for txt in sorted(path.glob("*.txt"))}
     meta: dict[str, tuple[str, dict]] = {}  # doc_id -> (manifest line, row)
@@ -365,11 +364,11 @@ def _load_text_dir(path: Path) -> list[RawDocument]:
     for doc_id, (where, _) in meta.items():
         if doc_id not in texts:
             raise CorpusError(f"{where}: no file {doc_id}.txt for doc_id {doc_id!r}")
+    if not texts:
+        raise CorpusError(f"{manifest.name}: no documents")
 
-    docs = []
     for doc_id, txt in texts.items():
         where, row = meta[doc_id]
         record = {key: row.get(key) or None
                   for key in ("company_id", "year", "report_type", "category")}
-        docs.append(_document({**record, "doc_id": doc_id, "text": _read_utf8(txt)}, where))
-    return docs
+        yield _document({**record, "doc_id": doc_id, "text": _read_utf8(txt)}, where)

@@ -157,10 +157,10 @@ def _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips, tol) -> 
     return updates
 
 
-def _sstats(mat, blocks, ratio, theta, expElogbeta) -> np.ndarray:
-    """(K, V) sufficient statistics at theta; ratio (mat's pattern) gets n / phinorm as data."""
-    np.divide(mat.data, _phinorm_at(mat, blocks, theta, expElogbeta), out=ratio.data)
-    return (ratio.T @ theta.T).T * expElogbeta
+def _sstats(mat, blocks, ratio_t, theta, expElogbeta) -> np.ndarray:
+    """(K, V) sufficient statistics at theta; ratio_t (mat.T's pattern) gets n / phinorm."""
+    np.divide(mat.data, _phinorm_at(mat, blocks, theta, expElogbeta), out=ratio_t.data)
+    return (ratio_t @ theta.T).T * expElogbeta
 
 
 def _bound(mat, blocks, gamma, lam, alpha, beta, lengths, psi_theta):
@@ -198,7 +198,8 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
     # Every topic gets an equal share of each document; gamma is (K, D) until the end.
     gamma = alpha + np.tile(lengths / config.k, (config.k, 1))
     blocks = _blocks(mat.indptr, config.k)
-    ratio = sp.csr_matrix((np.empty(mat.nnz), mat.indices, mat.indptr), shape=mat.shape)
+    # Transposed once: the view costs as much as a small product.  Its data is in mat's order.
+    ratio_t = sp.csr_matrix((np.empty(mat.nnz), mat.indices, mat.indptr), shape=mat.shape).T
     prev, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta, lengths,
                                         _psi_theta(gamma))
 
@@ -207,7 +208,7 @@ def fit_lda(tf: DocTermMatrix, config: LdaConfig) -> LdaModel:
         tol = min(_INNER_TOL_EARLY, max(_INNER_TOL, _INNER_TOL_SCALE * change))
         updates += _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, _INNER_MAX_ITER, tol)
         psi_theta = _psi_theta(gamma)  # one theta for the statistics and the bound
-        lam = beta + _sstats(mat, blocks, ratio, psi_theta[1], expElogbeta)
+        lam = beta + _sstats(mat, blocks, ratio_t, psi_theta[1], expElogbeta)
         bound, expElogbeta, phinorm = _bound(mat, blocks, gamma, lam, alpha, beta, lengths,
                                              psi_theta)
         converged = settled(trace, bound, config.tol, "LDA", f"iteration {iteration + 1}",

@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 import topickit
 from topickit import cli, vectorize
+from topickit import corpus as corpus_module
 from topickit.cli import ConfigError, RunConfig, main, run_experiment, select_best
 from topickit.corpus import StopwordList, load_corpus, preprocess_corpus
 from topickit.lda import LdaConfig
@@ -175,6 +177,81 @@ class TestCorpusPhase:
             for name in ("indices", "indptr"):
                 assert np.shares_memory(getattr(bundle.tfidf.values, name),
                                         getattr(bundle.tf.values, name))
+
+
+class TestStreamedCorpus:
+    """A sweep reads, filters and preprocesses one record at a time."""
+
+    def corpus(self, tmp_path, layout):
+        """12 documents, years 2000-2011: JSONL, or one <doc_id>.txt each plus manifest.csv."""
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=6)
+        if layout == "jsonl":
+            return corpus
+        root = tmp_path / "corpus"
+        root.mkdir()
+        rows = ["doc_id,company_id,year,report_type,category"]
+        for line in corpus.read_text("utf-8").splitlines():
+            r = json.loads(line)
+            (root / f"{r['doc_id']}.txt").write_text(r["text"], "utf-8")
+            rows.append(f"{r['doc_id']},{r['company_id']},{r['year']},{r['report_type']},"
+                        f"{r['category']}")
+        (root / "manifest.csv").write_text("\n".join(rows) + "\n", "utf-8")
+        return root
+
+    def sweep(self, tmp_path, corpus):
+        return run_experiment(RunConfig(corpus_path=str(corpus), methods=("nmf",), k_values=(2,),
+                                        filters={"year": (2003, 2009)},
+                                        out_dir=str(tmp_path / "out")))
+
+    @pytest.mark.parametrize("layout", ["jsonl", "text-dir"])
+    def test_one_text_alive_at_a_time(self, tmp_path, monkeypatch, layout):
+        built, alive = [], []
+        real_document = corpus_module._document
+
+        def tracking(*args):
+            alive.append(sum(ref() is not None for ref in built))  # earlier ones still held
+            doc = real_document(*args)
+            built.append(weakref.ref(doc))
+            return doc
+
+        monkeypatch.setattr(corpus_module, "_document", tracking)
+        manifest = self.sweep(tmp_path, self.corpus(tmp_path, layout))
+        assert [c["status"] for c in manifest.cells] == ["ok"]
+        assert len(built) == manifest.digest["documents_loaded"] == 12
+        assert manifest.digest["documents_after_filters"] == 7
+        assert max(alive) <= 1
+
+    @pytest.mark.parametrize("layout", ["jsonl", "text-dir"])
+    def test_load_corpus_returns_the_records_the_sweep_counts(self, tmp_path, monkeypatch,
+                                                              layout):
+        built = []
+        real_document = corpus_module._document
+        monkeypatch.setattr(corpus_module, "_document",
+                            lambda *args: built.append(real_document(*args)) or built[-1])
+        corpus = self.corpus(tmp_path, layout)
+        manifest = self.sweep(tmp_path, corpus)
+        assert load_corpus(corpus) == built[:manifest.digest["documents_loaded"]]
+        assert len(built) == 2 * manifest.digest["documents_loaded"]
+
+    @pytest.mark.parametrize("layout, fault, line", [
+        ("jsonl", '{"doc_id": "late", "company_id": "c1"\n', "corpus.jsonl:13: malformed JSON ("),
+        ("jsonl", '{"doc_id": "doc000", "company_id": "c1", "text": "coal seam"}\n',
+         "corpus.jsonl:13: duplicate doc_id 'doc000'\n"),
+        ("text-dir", "late,c1,2020,annual,coal\n",
+         "manifest.csv:14: no file late.txt for doc_id 'late'\n"),
+    ])
+    def test_late_error_is_2_before_any_fit(self, tmp_path, capsys, monkeypatch, layout, fault,
+                                            line):
+        corpus = self.corpus(tmp_path, layout)
+        with open(corpus / "manifest.csv" if layout == "text-dir" else corpus, "a",
+                  encoding="utf-8") as fh:  # the last line of the file
+            fh.write(fault)
+        fitted = []
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
+        assert main(["--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 2
+        printed = capsys.readouterr().out
+        assert printed.startswith(f"corpus error: {line}") and printed.count("\n") == 1
+        assert fitted == [] and not (tmp_path / "out").exists()
 
 
 class TestSelectBest:

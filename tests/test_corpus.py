@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topickit import cli
+from topickit import cli, corpus
 from topickit.cli import main
 from topickit.corpus import (
     EXTRA_STOPWORDS,
@@ -275,6 +275,29 @@ class TestPreprocess:
         doc = RawDocument("r1", "c1", "The coal THE seam tHe")
         assert preprocess(doc).tokens == ("coal", "seam")
         assert preprocess_corpus([doc])[0][0].tokens == ("coal", "seam")
+
+    def test_non_ascii_runs_reach_the_memo_lowercased(self, monkeypatch):
+        memos = []
+
+        class Recording(corpus._StemMemo):
+            def __init__(self, *args):
+                super().__init__(*args)
+                memos.append(self)
+
+        monkeypatch.setattr(corpus, "_StemMemo", Recording)
+        docs = [RawDocument("r1", "c1", "İSTANBUL Istanbul ΟΔΟΣ οδος ΣΑΣ Σας, 25 °C"),
+                RawDocument("r2", "c1", "STRASSE Straße straße Ⅻvalue ⅫVALUE İİİ"),
+                RawDocument("r3", "c1", "Drilling DRILLING drilling – THE Seams")]
+        tokenized, _ = preprocess_corpus(docs)
+        assert [t.tokens for t in tokenized] == [
+            ("i̇stanbul", "istanbul", "οδος", "οδος", "σας", "σας"),
+            ("strass", "straße", "straße", "ⅻvalu", "ⅻvalu", "i̇i̇i̇"),
+            ("drill", "drill", "drill", "seam"),
+        ]
+        stops = StopwordList()
+        runs = {"i̇stanbul", "istanbul", "οδος", "σας", "25", "c", "strasse", "straße",
+                "ⅻvalue", "i̇i̇i̇", "drilling", "seams"}
+        assert set(memos[0]) == runs | stops.base | stops.extra  # one key per lowercase run
 
 
 class TestRawDocument:

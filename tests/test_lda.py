@@ -252,7 +252,7 @@ def assert_e_step_matches_loop(rng, mat, k, max_trips, tol=lda._INNER_TOL):
     blocks = lda._blocks(mat.indptr, k)
     phinorm = lda._phinorm_at(mat, blocks, lda._psi_theta(gamma)[1], expElogbeta)
     updates = _e_step(mat, blocks, gamma, phinorm, expElogbeta, alpha, max_trips, tol)
-    sstats = lda._sstats(mat, blocks, mat.copy(), lda._psi_theta(gamma)[1], expElogbeta)
+    sstats = lda._sstats(mat, blocks, mat.copy().T, lda._psi_theta(gamma)[1], expElogbeta)
     gamma = gamma.T
     ref_sstats, ref_updates = loop_e_step(mat, ref_gamma, expElogbeta, alpha, max_trips, tol)
     np.testing.assert_allclose(gamma, ref_gamma, rtol=1e-12)
