@@ -28,21 +28,19 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import __version__
-from .corpus import (STRICT_JSON, CorpusError, RawDocument, StopwordList, _read_corpus,
-                     has_lone_surrogate, preprocess_corpus)
+from .corpus import STRICT_JSON, CorpusError, StopwordList, has_lone_surrogate
 from .evaluate import build_report
 from .export import write_csv, write_factor_csv, write_json
 from .lda import LdaConfig, fit_lda
 from .nmf import fit_nmf
 from .ntf import fit_ntf
-from .vectorize import DocTermMatrix, _tensor, _tfidf, check_k, check_setting, count_terms
+from .vectorize import PreparedCorpus, check_k, check_setting, prepare_corpus
 
 __all__ = ["ConfigError", "RunConfig", "RunManifest", "run_experiment", "select_best", "main"]
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("topickit.cli")  # not __name__, which is __main__ under -m
 
 # The solver settings a config may override, by method, named as the fit
 # functions name them; everything else keeps the solver's own default.
@@ -197,16 +195,7 @@ class RunManifest:
         return [c for c in self.cells if c["status"] != "ok"]
 
 
-@dataclass
-class _CorpusBundle:
-    tf: object
-    tfidf: object
-    tensor: object
-    vocab: object
-    doc_companies: list[str]
-
-
-def _passes(doc: RawDocument, filters: dict) -> bool:
+def _passes(doc, filters: dict) -> bool:
     """Whether ``doc`` meets every metadata filter."""
     lo, hi = filters.get("year", (None, None))
     return ((lo is None or doc.year is not None and lo <= doc.year <= hi)
@@ -214,7 +203,7 @@ def _passes(doc: RawDocument, filters: dict) -> bool:
             and filters.get("report_type", doc.report_type) == doc.report_type)
 
 
-def _fit_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig):
+def _fit_cell(method: str, k: int, bundle: PreparedCorpus, config: RunConfig):
     """Fit one model and return (doc_topic, topic_term, company block, meta)."""
     if method == "lda":
         model = fit_lda(bundle.tf, LdaConfig(k=k, seed=config.seed, **config.lda))
@@ -245,7 +234,8 @@ def _fit_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig):
     return model.doc_factor, model.term_factor.T, model.company_factor, meta
 
 
-def _run_cell(method: str, k: int, bundle: _CorpusBundle, config: RunConfig, out_dir: Path) -> dict:
+def _run_cell(method: str, k: int, bundle: PreparedCorpus, config: RunConfig,
+              out_dir: Path) -> dict:
     """Fit, evaluate and write one (method, K) cell; return its manifest row."""
     started = time.perf_counter()
     cell_dir = out_dir / method / f"k{k}"
@@ -347,63 +337,24 @@ def _stale_cells(out_dir: Path, ok_rows: list[dict]) -> list[str]:
 
 
 def run_experiment(config: RunConfig) -> RunManifest:
-    """Run the full sweep and write all artifacts under ``config.out_dir``, which is made
-    before the first fit: ConfigError if it cannot be."""
+    """Run the full sweep and write all artifacts under ``config.out_dir``.  Its summary
+    directory is made, and an earlier manifest removed, before the first fit: ConfigError
+    if that fails."""
     out_dir = Path(config.out_dir)
-    notices: list[str] = []
-
-    n_loaded, company_map = 0, {}  # records read; each kept document's company
-
-    def kept_documents():  # one record at a time, so no text outlives its tokens
-        nonlocal n_loaded
-        for doc in _read_corpus(config.corpus_path):
-            n_loaded += 1
-            if _passes(doc, config.filters):
-                company_map[doc.doc_id] = doc.company_id
-                yield doc
-
-    stops = StopwordList.with_extra(config.extra_stopwords)
-    tokenized, empty_ids = preprocess_corpus(kept_documents(), stops)
-    n_docs = len(tokenized)
-    if n_docs < n_loaded:
-        notices.append(f"metadata filters dropped {n_loaded - n_docs} document(s)")
-    if empty_ids:
-        notices.append(f"{len(empty_ids)} document(s) empty after preprocessing: "
-                       f"{', '.join(empty_ids)}")
-
-    try:  # counted once; TF-IDF and the tensor derive from it
-        if len(empty_ids) == n_docs:
-            raise ValueError(f"all {n_docs} documents are empty after preprocessing" if n_docs
-                             else "no documents left after filtering")
-        vocab, tf = count_terms([t for t in tokenized if not t.is_empty], min_df=config.min_df)
-    except ValueError as exc:  # every corpus-phase error names the corpus file
-        raise CorpusError(f"{Path(config.corpus_path).name}: {exc}") from exc
-    del tokenized  # not needed past the count: the fits can reuse its memory
-    has_term = np.diff(tf.values.indptr) > 0  # min_df can leave a document no term
-    dropped_oov = [doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if not ok]
-    if dropped_oov:
-        notices.append(f"{len(dropped_oov)} document(s) have no in-vocabulary token: "
-                       f"{', '.join(dropped_oov)}")
-        kept_ids = tuple(doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if ok)
-        # An empty row ends where it starts: dropping its end from indptr moves no entry.
-        values = sp.csr_matrix((tf.values.data, tf.values.indices,
-                                tf.values.indptr[np.r_[True, has_term]]),
-                               shape=(len(kept_ids), len(vocab)))
-        tf = DocTermMatrix(values, "tf", kept_ids)
-
-    tensor = _tensor(tf, company_map)
-    bundle = _CorpusBundle(tf, _tfidf(tf, vocab), tensor, vocab,
-                           [company_map[doc_id] for doc_id in tf.doc_ids])
-    logger.info("corpus ready: %d documents, %d companies, %d terms",
-                tf.shape[0], tensor.shape[1], len(vocab))
-
+    bundle = prepare_corpus(config.corpus_path, StopwordList.with_extra(config.extra_stopwords),
+                            config.min_df, keep=lambda doc: _passes(doc, config.filters))
+    logger.info("corpus ready: %d documents, %d companies, %d terms", *bundle.tensor.shape)
+    notices = list(bundle.notices)
+    summary_dir = out_dir / "summary"
     try:  # not earlier, so that a bad corpus leaves nothing behind
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)  # first, so that an error names it
+        summary_dir.mkdir(exist_ok=True)
+        # The manifest is written last: a directory without one holds an unfinished run.
+        (summary_dir / "manifest.json").unlink(missing_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"out_dir cannot be made: {exc}") from None
-    results = [
-        _run_cell(m, k, bundle, config, out_dir) for m in config.methods for k in config.k_values
-    ]
+    results = [_run_cell(m, k, bundle, config, out_dir)
+               for m in config.methods for k in config.k_values]
     unconverged = [f"{r['method']}/k{r['k']}" for r in results if r["converged"] is False]
     if unconverged:
         notices.append(f"{len(unconverged)} cell(s) did not converge: {', '.join(unconverged)}")
@@ -411,36 +362,17 @@ def run_experiment(config: RunConfig) -> RunManifest:
     ok_rows = [r for r in results if r["status"] == "ok"]
     stale = _stale_cells(out_dir, ok_rows)
     if stale:
-        notices.append(
-            f"{len(stale)} cell(s) in the output directory not written by this run "
-            f"(left as they are): {', '.join(stale)}"
-        )
+        notices.append(f"{len(stale)} cell(s) in the output directory not written by this run "
+                       f"(left as they are): {', '.join(stale)}")
         logger.warning(notices[-1])
 
-    selection = (
-        select_best(ok_rows, margin=config.select_margin)
-        if ok_rows else {"per_method": {}, "overall": None}
-    )
-    _write_summaries(out_dir / "summary", ok_rows, selection)
+    selection = (select_best(ok_rows, margin=config.select_margin) if ok_rows
+                 else {"per_method": {}, "overall": None})
+    _write_summaries(summary_dir, ok_rows, selection)
 
-    digest = {
-        "documents_loaded": n_loaded,
-        "documents_after_filters": n_docs,
-        "documents_empty_after_preprocessing": empty_ids,
-        "documents_without_vocabulary_terms": dropped_oov,
-        "documents_in_matrices": tf.shape[0],
-        "companies": tensor.shape[1],
-        "vocabulary_size": len(vocab),
-    }
-    manifest = RunManifest(
-        tool_version=__version__,
-        config=asdict(config),
-        digest=digest,
-        cells=results,
-        selection=selection,
-        notices=notices,
-    )
-    write_json(out_dir / "summary" / "manifest.json", asdict(manifest))
+    manifest = RunManifest(tool_version=__version__, config=asdict(config), digest=bundle.digest,
+                           cells=results, selection=selection, notices=notices)
+    write_json(summary_dir / "manifest.json", asdict(manifest))
     return manifest
 
 

@@ -356,8 +356,9 @@ def _read_text_dir(path: Path) -> Iterator[RawDocument]:
             if doc_id in meta:
                 raise CorpusError(f"{where}: duplicate doc_id {doc_id!r}")
             meta[doc_id] = where, row
-    except csv.Error as exc:
-        raise CorpusError(f"{manifest.name}:{reader.line_num}: malformed CSV ({exc})") from None
+    except csv.Error as exc:  # raised before DictReader counts the line; its reader has
+        where = f"{manifest.name}:{reader.reader.line_num}"
+        raise CorpusError(f"{where}: malformed CSV ({exc})") from None
     for doc_id, txt in texts.items():
         if doc_id not in meta:
             raise CorpusError(f"{txt.name}: no manifest row for doc_id {doc_id!r}")

@@ -12,7 +12,8 @@ codes once, into one CSR matrix from which the vocabulary (two
 ``bincount``s) and the TF matrix both come.  TF-IDF and the tensor derive
 from one TF count (``tfidf_matrix`` and ``build_tensor`` count it first);
 the tensor's pair rows are that TF matrix, shared, not copied, so no
-caller may write into either.
+caller may write into either.  ``prepare_corpus`` is a sweep's whole route
+from a corpus path to all three, with the run digest's counts and notices.
 
 It also holds the input checks that the run configuration and the solvers
 share, and the one rule by which all three solvers stop or fail.
@@ -32,17 +33,21 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping
+from pathlib import Path
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import TokenizedDocument
+from .corpus import (CorpusError, RawDocument, StopwordList, TokenizedDocument, _read_corpus,
+                     preprocess_corpus)
 
 __all__ = [
     "Vocabulary",
     "DocTermMatrix",
     "DocCompanyTermTensor",
+    "PreparedCorpus",
+    "prepare_corpus",
     "build_vocabulary",
     "count_terms",
     "tf_matrix",
@@ -122,6 +127,19 @@ class DocCompanyTermTensor:
     def sum_over_companies(self) -> sp.csr_matrix:
         """Marginalise the company axis back to a (D, V) count matrix."""
         return _indicator(self.pair_doc, self.shape[0]) @ self.pairs
+
+
+@dataclass(frozen=True)
+class PreparedCorpus:
+    """A corpus as the fits take it, with what a run manifest records of its making."""
+
+    tf: DocTermMatrix
+    tfidf: DocTermMatrix
+    tensor: DocCompanyTermTensor
+    vocab: Vocabulary
+    doc_companies: list[str]  # each TF row's company
+    digest: dict  # document counts at each step, the dropped ids, companies, terms
+    notices: list[str]  # documents the filter, preprocessing and min_df dropped
 
 
 def _indicator(rows: np.ndarray, n_rows: int) -> sp.csr_matrix:
@@ -289,3 +307,59 @@ def _tensor(tf: DocTermMatrix, company_map: Mapping[str, str]) -> DocCompanyTerm
         pair_company=np.array([position[company_map[d]] for d in tf.doc_ids], dtype=np.int64),
         company_ids=company_ids,
     )
+
+
+def prepare_corpus(path: str | Path, stops: StopwordList | None = None, min_df: int = 1,
+                   keep: Callable[[RawDocument], bool] | None = None) -> PreparedCorpus:
+    """Stream the corpus at ``path``, keep the records ``keep`` accepts (all by default),
+    preprocess them with ``stops``, count TF once and derive TF-IDF and the tensor from
+    it.  A document left with no term is dropped and named in the digest and notices.
+    Every corpus error (none kept, all empty, no term reaching ``min_df`` too) is a
+    CorpusError naming the file; a bad ``min_df`` is a ValueError before it is read."""
+    check_setting("min_df", min_df, 1)
+    n_loaded, company_map = 0, {}  # records read; each kept document's company
+
+    def kept_documents():  # one record at a time, so no text outlives its tokens
+        nonlocal n_loaded
+        for doc in _read_corpus(path):
+            n_loaded += 1
+            if keep is None or keep(doc):
+                company_map[doc.doc_id] = doc.company_id
+                yield doc
+
+    tokenized, empty_ids = preprocess_corpus(kept_documents(), stops)
+    n_docs, notices = len(tokenized), []
+    if n_docs < n_loaded:
+        notices.append(f"metadata filters dropped {n_loaded - n_docs} document(s)")
+    if empty_ids:
+        notices.append(f"{len(empty_ids)} document(s) empty after preprocessing: "
+                       f"{', '.join(empty_ids)}")
+
+    try:  # counted once; TF-IDF and the tensor derive from it
+        if len(empty_ids) == n_docs:
+            raise ValueError(f"all {n_docs} documents are empty after preprocessing" if n_docs
+                             else "no documents left after filtering")
+        vocab, tf = count_terms([t for t in tokenized if not t.is_empty], min_df=min_df)
+    except ValueError as exc:  # every corpus-phase error names the corpus file
+        raise CorpusError(f"{Path(path).name}: {exc}") from exc
+    del tokenized  # not needed past the count: the fits can reuse its memory
+    has_term = np.diff(tf.values.indptr) > 0  # min_df can leave a document no term
+    dropped_oov = [doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if not ok]
+    if dropped_oov:
+        notices.append(f"{len(dropped_oov)} document(s) have no in-vocabulary token: "
+                       f"{', '.join(dropped_oov)}")
+        kept_ids = tuple(doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if ok)
+        # An empty row ends where it starts: dropping its end from indptr moves no entry.
+        values = sp.csr_matrix((tf.values.data, tf.values.indices,
+                                tf.values.indptr[np.r_[True, has_term]]),
+                               shape=(len(kept_ids), len(vocab)))
+        tf = DocTermMatrix(values, "tf", kept_ids)
+
+    tensor = _tensor(tf, company_map)
+    digest = {"documents_loaded": n_loaded, "documents_after_filters": n_docs,
+              "documents_empty_after_preprocessing": empty_ids,
+              "documents_without_vocabulary_terms": dropped_oov,
+              "documents_in_matrices": tf.shape[0], "companies": tensor.shape[1],
+              "vocabulary_size": len(vocab)}
+    return PreparedCorpus(tf, _tfidf(tf, vocab), tensor, vocab,
+                          [company_map[doc_id] for doc_id in tf.doc_ids], digest, notices)

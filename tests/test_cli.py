@@ -1,7 +1,10 @@
 import csv
 import json
 import logging
+import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -70,7 +73,7 @@ class TestCountOnce:
                            k_values=(2, 3), seed=0, min_df=2, extra_stopwords=("Pit",),
                            out_dir=str(tmp_path / "out"))
         calls, seen = [], {}
-        real_count, real_codes, real_run_cell = cli.count_terms, vectorize._count, cli._run_cell
+        real_count, real_codes, real_run_cell = vectorize.count_terms, vectorize._count, cli._run_cell
 
         def counting(*args, **kwargs):
             calls.append(("count_terms", args))
@@ -85,7 +88,7 @@ class TestCountOnce:
             seen.setdefault("tf_before", csr_bytes(bundle.tf.values))
             return real_run_cell(method, k, bundle, *args)
 
-        monkeypatch.setattr(cli, "count_terms", counting)
+        monkeypatch.setattr(vectorize, "count_terms", counting)
         monkeypatch.setattr(vectorize, "_count", counting_codes)
         monkeypatch.setattr(cli, "_run_cell", capturing_run_cell)
         manifest = run_experiment(config)
@@ -701,6 +704,64 @@ class TestMainExitCodes:
         assert printed.out == f"config error: out_dir cannot be made: {reason}\n"
         assert "Traceback" not in printed.err
         assert fitted == [] and (tmp_path / "file").read_text() == ""
+
+    @pytest.mark.parametrize("kind", ["summary", "summary/manifest.json"])
+    def test_unusable_summary_path_is_1_before_any_fit(self, tmp_path, capsys, monkeypatch,
+                                                       kind):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=2)
+        blocker = tmp_path / "out" / kind
+        blocker.parent.mkdir(parents=True)
+        if kind == "summary":  # a file where the summary directory goes
+            blocker.write_text("")
+        else:  # a directory where the manifest goes
+            blocker.mkdir()
+        fitted = []
+        monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
+        assert main(["--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 1
+        printed = capsys.readouterr()
+        assert printed.out.startswith("config error: out_dir cannot be made: [Errno ")
+        assert printed.out.endswith(f"{str(blocker)!r}\n") and printed.out.count("\n") == 1
+        assert "Traceback" not in printed.err and fitted == []
+
+    def test_interrupted_rerun_leaves_no_earlier_manifest(self, tmp_path, monkeypatch):
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl")
+        out = tmp_path / "out"
+
+        def config(seed):
+            return RunConfig(corpus_path=str(corpus), methods=("ntf",), k_values=(2, 3),
+                             seed=seed, out_dir=str(out))
+
+        run_experiment(config(0))
+        assert (out / "summary" / "manifest.json").is_file()
+        real_run_cell = cli._run_cell
+
+        def interrupted(method, k, *args):  # as a Ctrl-C, a kill or an OOM would stop it
+            if k == 3:
+                raise KeyboardInterrupt
+            return real_run_cell(method, k, *args)
+
+        monkeypatch.setattr(cli, "_run_cell", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config(1))
+        assert json.loads((out / "ntf" / "k2" / "model.json").read_text())["seed"] == 1
+        assert not (out / "summary" / "manifest.json").exists()
+
+    def test_log_lines_under_python_m(self, tmp_path):
+        """Run as ``python -m topickit.cli``, the module is __main__; its log still shows."""
+        corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=4)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            str(Path(topickit.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "topickit.cli", "--corpus", str(corpus), "--methods", "nmf",
+             "--k", "2,3", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stderr.splitlines()
+        assert sum("corpus ready: " in line for line in lines) == 1
+        cells = [line for line in lines if "cell (" in line]
+        assert [line.split(": ", 1)[1].split(":")[0] for line in cells] \
+            == ["cell (nmf, k=2)", "cell (nmf, k=3)"]
+        assert all(line.startswith("INFO topickit.cli: ") for line in cells)
 
     def test_partial_failure_is_3(self, tmp_path, capsys):
         corpus = write_mini_corpus(tmp_path / "corpus.jsonl")

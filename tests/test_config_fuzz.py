@@ -3,9 +3,10 @@
 Every setting (each RunConfig field, and each solver key under "lda", "nmf"
 and "ntf") is given bad values from a config file and, where it has one,
 from its flag, and is written twice in a config file, over a seeded random
-background of valid settings.  Each
-case must exit 1 with one printed line, ``config error: ...``, that names the
-setting or its flag; none may raise, fit a cell or make the output directory.
+background of valid settings; the config file is also missing, or holds an
+array.  Each case must exit 1 with one printed line, ``config error: ...``,
+that names the setting or its flag (or the file's fault); none may raise, fit
+a cell or make the output directory.
 """
 
 import json
@@ -92,6 +93,8 @@ def cases(tmp_path):
     for key in ("jobs", "Seed", SURROGATE, "corpus_format"):
         yield key, [ascii(key)[1:-1]], "file", 1
     yield "jobs", ["--jobs"], "argv", ["--jobs", "2"]
+    yield "config", ["config file not found"], "missing", None
+    yield "config", ["config file must hold a JSON object"], "array", None
 
 
 def argv_for(tmp_path, rng, setting, route, value):
@@ -122,7 +125,11 @@ def argv_for(tmp_path, rng, setting, route, value):
     text = json.dumps(settings)
     if member:
         text = text[:-1] + f", {member}}}"
+    elif route == "array":  # the same settings, in a list
+        text = f"[{text}]"
     (tmp_path / "run.json").write_text(text)
+    if route == "missing":
+        argv[1] = str(tmp_path / "missing.json")
     return argv
 
 

@@ -512,6 +512,20 @@ class TestLoadTextDir:
         with pytest.raises(CorpusError, match=r"^manifest\.csv:3: year must be"):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize("line", [2, 4])
+    def test_oversized_field_names_its_line(self, tmp_path, line):
+        """csv raises on a field past its 131,072-character limit before DictReader has
+        counted the line, so the count comes from the underlying reader; line 1 is the
+        header."""
+        rows = ["doc_id,company_id"] + [f"d{i},c1" for i in range(4)]
+        for i in range(4):
+            (tmp_path / f"d{i}.txt").write_text("coal")
+        rows[line - 1] = f"d{line - 2},{'x' * 140_000}"
+        (tmp_path / "manifest.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(CorpusError, match=rf"^manifest\.csv:{line}: malformed CSV \(field "
+                                              r"larger than field limit \(131072\)\)$"):
+            load_corpus(tmp_path)
+
     def test_duplicate_reported_before_missing_file(self, tmp_path):
         (tmp_path / "a.txt").write_text("coal")
         (tmp_path / "manifest.csv").write_text("doc_id,company_id\na,c1\na,c2\nghost,c3\n")
@@ -522,6 +536,7 @@ class TestLoadTextDir:
 # A CorpusError message starts with the file (and line) it is about.
 _LOCATED = re.compile(r"^(corpus\.jsonl(:\d+)?|manifest\.csv(:\d+)?|[\w-]+\.txt): ")
 _ODD_VALUES = [None, True, 12, 2005.9, float("nan"), "", " ", "x", "2005", ["a"], {"a": 1}]
+_ODD_FIELDS = [*map(str, _ODD_VALUES), "x" * 140_000]
 _BAD_BYTES = [b"\xff\xfe", b"\xc3", b"\x80", b"\x00", b"\n", b'"', b","]
 
 
@@ -587,8 +602,8 @@ class TestMalformedInput:
                     row.pop(rng.integers(len(row)))  # a short row
                 elif mutation == 1:
                     columns.pop(rng.integers(len(columns)))  # drop a header key
-                elif mutation == 2 and row:
-                    row[rng.integers(len(row))] = str(_ODD_VALUES[rng.integers(len(_ODD_VALUES))])
+                elif mutation == 2 and row:  # also a field past csv's 131,072-character limit
+                    row[rng.integers(len(row))] = _ODD_FIELDS[rng.integers(len(_ODD_FIELDS))]
                 elif mutation == 3 and row:
                     source = rows[rng.integers(len(rows))]
                     row[0] = source[0] if source else "r0"  # a repeated id
@@ -607,7 +622,8 @@ class TestMalformedInput:
             _assert_loads_or_locates(root)
 
     def test_structure(self, tmp_path, capsys, monkeypatch):
-        """Repeated keys and columns, a BOM, empty files, CRLF line ends and NUL bytes.  A
+        """Repeated keys and columns, a BOM, empty files, CRLF line ends, NUL bytes, a record
+        that is not an object, an empty doc_id and a manifest field past csv's limit.  A
         corpus that does not load fails in ``main`` with its one line, before any fit."""
         rng = np.random.default_rng(20261020)
         fitted = []
@@ -617,11 +633,12 @@ class TestMalformedInput:
             root = tmp_path / f"t{trial}"
             root.mkdir()
             records = _valid_records(4)
+            oversized = None  # the line of an oversized manifest field
             if trial % 2:
                 corpus = root / "corpus.jsonl"
                 lines = [json.dumps(r) for r in records]
                 at = int(rng.integers(len(lines)))
-                mutation = rng.integers(4)
+                mutation = rng.integers(6)
                 if mutation == 0:  # a key again, at the top or inside an object
                     key = ("doc_id", "company_id", "text", "year")[rng.integers(4)]
                     lines[at] = lines[at][:-1] + (f', "{key}": "r9"}}' if rng.random() < 0.5
@@ -630,13 +647,17 @@ class TestMalformedInput:
                     lines = [] if rng.random() < 0.5 else ["", " "]
                 elif mutation == 2:
                     lines[at] = lines[at].replace('"text": "', '"text": "\0')
+                elif mutation == 3:
+                    lines[at] = "[1, 2]"
+                elif mutation == 4:
+                    lines[at] = json.dumps({**records[at], "doc_id": ""})
                 files = {corpus: "\n".join(lines).encode() + b"\n"}
             else:
                 corpus = root
                 columns = ["doc_id", "company_id", "year", "report_type", "category"]
                 rows = [[str(r[c]) for c in columns] for r in records]
                 texts = {root / f"{r['doc_id']}.txt": r["text"].encode() for r in records}
-                mutation = rng.integers(4)
+                mutation = rng.integers(5)
                 if mutation == 0:  # a header column again, with values of its own
                     at = int(rng.integers(len(columns)))
                     columns.append(columns[at])
@@ -648,6 +669,10 @@ class TestMalformedInput:
                 elif mutation == 2:
                     txt = list(texts)[rng.integers(len(texts))]
                     texts[txt] = texts[txt][:2] + b"\0" + texts[txt][2:]
+                elif mutation == 3:
+                    at = int(rng.integers(len(rows)))
+                    rows[at][rng.integers(1, len(columns))] = "x" * 140_000
+                    oversized = at + 2
                 out = io.StringIO()
                 csv.writer(out, lineterminator="\n").writerows([columns, *rows])
                 manifest = out.getvalue().encode()
@@ -662,6 +687,8 @@ class TestMalformedInput:
                 load_corpus(corpus)
             except CorpusError as exc:
                 assert _LOCATED.match(str(exc)), str(exc)
+                if "field larger than field limit" in str(exc):
+                    assert str(exc).startswith(f"manifest.csv:{oversized}: malformed CSV")
                 errors.append(str(exc))
                 assert main(["--corpus", str(corpus), "--out", str(root / "out")]) == 2
                 printed = capsys.readouterr()
@@ -670,5 +697,6 @@ class TestMalformedInput:
         assert fitted == [] and 20 < len(errors) < 180
         for kind in ("repeated key", "repeated column", "control character", "no manifest row",
                      "corpus.jsonl: no documents", "manifest.csv: no documents",
-                     "unknown column 'category\\x00'"):
+                     "unknown column 'category\\x00'", "record is not an object",
+                     "doc_id must be non-empty", "field larger than field limit"):
             assert any(kind in error for error in errors), kind

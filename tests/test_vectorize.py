@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from topickit.corpus import CorpusError, StopwordList
 from topickit.evaluate import _ranked_terms
 from topickit.vectorize import (
     DocCompanyTermTensor,
@@ -15,6 +17,7 @@ from topickit.vectorize import (
     build_vocabulary,
     check_nonnegative,
     count_terms,
+    prepare_corpus,
     settled,
     tf_matrix,
     tfidf_matrix,
@@ -166,6 +169,45 @@ class TestCountTerms:
             order = np.lexsort((np.array(vocab.index_to_term), -weights))
             n = int(rng.integers(1, len(vocab) + 1))
             assert _ranked_terms(weights, vocab, n) == [vocab.index_to_term[i] for i in order[:n]]
+
+
+class TestPrepareCorpus:
+    """The corpus route a sweep takes, called as a library function."""
+
+    TEXTS = {"a": "coal seam drill", "b": "coal seam gold", "c": "gold vein coal",
+             "d": "the and of", "e": "drill bore"}
+
+    def write(self, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            for i, (doc_id, text) in enumerate(self.TEXTS.items()):
+                fh.write(json.dumps({"doc_id": doc_id, "company_id": f"c{i % 2}",
+                                     "text": text}) + "\n")
+        return path
+
+    def test_keep_stops_and_min_df(self, tmp_path):
+        path = self.write(tmp_path / "r.jsonl")
+        prepared = prepare_corpus(path, StopwordList.with_extra(["gold"]), min_df=2,
+                                  keep=lambda doc: doc.doc_id != "b")
+        assert prepared.tf.doc_ids == prepared.tfidf.doc_ids == ("a", "c", "e")
+        assert prepared.vocab.index_to_term == ("coal", "drill")
+        assert prepared.doc_companies == ["c0", "c0", "c0"]
+        assert prepared.tensor.pairs is prepared.tf.values
+        assert prepared.notices == ["metadata filters dropped 1 document(s)",
+                                    "1 document(s) empty after preprocessing: d"]
+        assert prepared.digest == {
+            "documents_loaded": 5, "documents_after_filters": 4,
+            "documents_empty_after_preprocessing": ["d"],
+            "documents_without_vocabulary_terms": [], "documents_in_matrices": 3,
+            "companies": 1, "vocabulary_size": 2}
+
+    def test_errors_name_the_file_and_min_df_is_checked_first(self, tmp_path):
+        path = self.write(tmp_path / "r.jsonl")
+        with pytest.raises(CorpusError, match=r"^r\.jsonl: no documents left after filtering$"):
+            prepare_corpus(path, keep=lambda doc: False)
+        with pytest.raises(CorpusError, match=r"^r\.jsonl: no term reaches min_df=9$"):
+            prepare_corpus(path, min_df=9)
+        with pytest.raises(ValueError, match="^min_df must be >= 1, got 0$"):
+            prepare_corpus(tmp_path / "missing.jsonl", min_df=0)
 
 
 class TestCheckNonnegative:
