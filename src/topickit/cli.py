@@ -204,34 +204,21 @@ def _passes(doc, filters: dict) -> bool:
 
 
 def _fit_cell(method: str, k: int, bundle: PreparedCorpus, config: RunConfig):
-    """Fit one model and return (doc_topic, topic_term, company block, meta)."""
+    """Fit one model and return (doc_topic, topic_term, company block, updates, meta)."""
     if method == "lda":
         model = fit_lda(bundle.tf, LdaConfig(k=k, seed=config.seed, **config.lda))
-        meta = {
-            "converged": model.converged,
-            "trace": list(model.elbo_trace),
-            "trace_name": "elbo",
-            "inner_updates": model.inner_updates,
-            "alpha": model.alpha,
-            "beta": model.beta,
-        }
-        return model.doc_topic, model.topic_term, None, meta
+        return model.doc_topic, model.topic_term, None, len(model.elbo_trace), {
+            "converged": model.converged, "trace": model.elbo_trace, "trace_name": "elbo",
+            "inner_updates": model.inner_updates, "alpha": model.alpha, "beta": model.beta}
     if method == "nmf":
-        model = fit_nmf(bundle.tfidf, k, seed=config.seed, **config.nmf)
-        meta = {
-            "converged": model.converged,
-            "trace": list(model.objective_trace),
-            "trace_name": "objective",
-        }
-        return model.doc_topic, model.topic_term, None, meta
+        model = fit_nmf(bundle.tfidf, k, **config.nmf)
+        # The trace starts with the objective at the initial factors.
+        return model.doc_topic, model.topic_term, None, len(model.objective_trace) - 1, {
+            "converged": model.converged, "trace": model.objective_trace, "trace_name": "objective"}
     model = fit_ntf(bundle.tensor, k, seed=config.seed, **config.ntf)
-    meta = {
-        "converged": model.converged,
-        "trace": list(model.error_trace),
-        "trace_name": "reconstruction_error",
-        "rescues": model.rescues,
-    }
-    return model.doc_factor, model.term_factor.T, model.company_factor, meta
+    return model.doc_factor, model.term_factor.T, model.company_factor, len(model.error_trace), {
+        "converged": model.converged, "trace": model.error_trace,
+        "trace_name": "reconstruction_error", "rescues": model.rescues}
 
 
 def _run_cell(method: str, k: int, bundle: PreparedCorpus, config: RunConfig,
@@ -239,17 +226,17 @@ def _run_cell(method: str, k: int, bundle: PreparedCorpus, config: RunConfig,
     """Fit, evaluate and write one (method, K) cell; return its manifest row."""
     started = time.perf_counter()
     cell_dir = out_dir / method / f"k{k}"
-    status, error, converged, n_iter = "ok", None, None, None
+    status, error, converged, n_iter, notices = "ok", None, None, None, []
     scores = dict.fromkeys(
         ("silhouette_documents", "silhouette_companies", "keyword_match_mean", "decisiveness")
     )
     try:
-        doc_topic, topic_term, company_factor, meta = _fit_cell(method, k, bundle, config)
-        # n_iter counts updates: NMF's trace also holds its starting objective.
-        converged, n_iter = meta["converged"], len(meta["trace"]) - (method == "nmf")
+        doc_topic, topic_term, company_factor, n_iter, meta = _fit_cell(method, k, bundle, config)
+        converged = meta["converged"]
         report = build_report(method, k, doc_topic, topic_term, bundle.tf, bundle.vocab,
                               bundle.doc_companies, company_factor=company_factor,
                               company_ids=bundle.tensor.company_ids, n_keywords=config.n_keywords)
+        notices = report.notices
         doc_ids = bundle.tf.doc_ids
         write_factor_csv(cell_dir / "doc_topic.csv", "doc_id", doc_ids, doc_topic)
         write_factor_csv(cell_dir / "topic_term.csv", "topic", range(k), topic_term,
@@ -278,7 +265,8 @@ def _run_cell(method: str, k: int, bundle: PreparedCorpus, config: RunConfig,
         logger.exception("cell (%s, k=%d) failed", method, k)
         status, error = "failed", f"{type(exc).__name__}: {exc}"
     seconds = time.perf_counter() - started
-    logger.info("cell (%s, k=%d): %s in %.2fs", method, k, status, seconds)
+    logger.info("cell (%s, k=%d): %s in %.2fs%s", method, k, status, seconds,
+                "; ".join(["", *notices]))  # the report's notices, after "; "
     return {"method": method, "k": k, "status": status, "error": error,
             "converged": converged, "n_iter": n_iter, **scores, "seconds": seconds}
 
@@ -331,24 +319,30 @@ def select_best(summaries: list[dict], margin: float = 0.02) -> dict:
 def _stale_cells(out_dir: Path, ok_rows: list[dict]) -> list[str]:
     """Cell directories under ``out_dir`` that this run did not write, as relative paths."""
     written = {f"{r['method']}/k{r['k']}" for r in ok_rows}
-    found = (p.relative_to(out_dir).as_posix()
-             for m in KNOWN_METHODS for p in (out_dir / m).glob("k*") if p.is_dir())
+    # A cell's directory is made before the fits, so only one that holds something counts.
+    found = (p.parent.relative_to(out_dir).as_posix()
+             for m in KNOWN_METHODS for p in (out_dir / m).glob("k*/*"))
     return sorted(set(found) - written)
 
 
 def run_experiment(config: RunConfig) -> RunManifest:
-    """Run the full sweep and write all artifacts under ``config.out_dir``.  Its summary
-    directory is made, and an earlier manifest removed, before the first fit: ConfigError
-    if that fails."""
+    """Run the full sweep and write all artifacts under ``config.out_dir``, logging each notice
+    once.  The summary and cell directories are made, and an earlier manifest removed, before
+    the first fit: ConfigError if that fails."""
     out_dir = Path(config.out_dir)
     bundle = prepare_corpus(config.corpus_path, StopwordList.with_extra(config.extra_stopwords),
                             config.min_df, keep=lambda doc: _passes(doc, config.filters))
     logger.info("corpus ready: %d documents, %d companies, %d terms", *bundle.tensor.shape)
     notices = list(bundle.notices)
+    for notice in notices:
+        logger.warning(notice)
     summary_dir = out_dir / "summary"
     try:  # not earlier, so that a bad corpus leaves nothing behind
         out_dir.mkdir(parents=True, exist_ok=True)  # first, so that an error names it
         summary_dir.mkdir(exist_ok=True)
+        for m in config.methods:  # so that a file in a cell's way stops the run before any fit
+            for k in config.k_values:
+                (out_dir / m / f"k{k}").mkdir(parents=True, exist_ok=True)
         # The manifest is written last: a directory without one holds an unfinished run.
         (summary_dir / "manifest.json").unlink(missing_ok=True)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
@@ -356,15 +350,14 @@ def run_experiment(config: RunConfig) -> RunManifest:
     results = [_run_cell(m, k, bundle, config, out_dir)
                for m in config.methods for k in config.k_values]
     unconverged = [f"{r['method']}/k{r['k']}" for r in results if r["converged"] is False]
-    if unconverged:
-        notices.append(f"{len(unconverged)} cell(s) did not converge: {', '.join(unconverged)}")
-        logger.warning(notices[-1])
     ok_rows = [r for r in results if r["status"] == "ok"]
     stale = _stale_cells(out_dir, ok_rows)
-    if stale:
-        notices.append(f"{len(stale)} cell(s) in the output directory not written by this run "
-                       f"(left as they are): {', '.join(stale)}")
-        logger.warning(notices[-1])
+    for cells, what in ((unconverged, "did not converge"),
+                        (stale, "in the output directory not written by this run "
+                                "(left as they are)")):
+        if cells:
+            notices.append(f"{len(cells)} cell(s) {what}: {', '.join(cells)}")
+            logger.warning(notices[-1])
 
     selection = (select_best(ok_rows, margin=config.select_margin) if ok_rows
                  else {"per_method": {}, "overall": None})
@@ -444,7 +437,7 @@ def _load_config(args) -> RunConfig:
 
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("topickit").setLevel(logging.INFO)
+    logger.setLevel(logging.INFO)
     try:
         manifest = run_experiment(_load_config(_build_parser().parse_args(argv)))
     except ConfigError as exc:  # also an out_dir that cannot be made, found before any fit

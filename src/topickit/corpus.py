@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -37,9 +36,6 @@ __all__ = [
     "preprocess",
     "preprocess_corpus",
 ]
-
-logger = logging.getLogger(__name__)
-
 
 class CorpusError(Exception):
     """Raised when a corpus cannot be loaded or violates its invariants."""
@@ -156,9 +152,7 @@ def preprocess(doc: RawDocument, stops: StopwordList | None = None) -> Tokenized
     A document whose token list ends up empty is returned as-is (callers
     flag it); it is never silently dropped here.
     """
-    if stops is None:
-        stops = StopwordList()
-    return _StemMemo.fromkeys(stops.base | stops.extra).tokenized(doc)
+    return preprocess_corpus([doc], stops)[0][0]
 
 
 class _TokenMemo(dict):
@@ -192,7 +186,8 @@ def preprocess_corpus(
     a generator's texts can be freed one by one as their tokens are made.
 
     Returns the tokenized documents (including empty ones) plus the ids of
-    documents that became empty, so run reports can reconcile counts.
+    documents that became empty, which the caller reports (``prepare_corpus``
+    names them in a notice).
     """
     if stops is None:
         stops = StopwordList()
@@ -200,11 +195,7 @@ def preprocess_corpus(
     # documents), so each distinct run is judged and stemmed once per call.
     stems = _StemMemo.fromkeys(stops.base | stops.extra)
     tokenized = list(map(stems.tokenized, docs))  # map holds no document past its call
-    empty_ids = [t.doc_id for t in tokenized if t.is_empty]
-    if empty_ids:
-        logger.warning("%d document(s) empty after preprocessing: %s",
-                       len(empty_ids), ", ".join(empty_ids))
-    return tokenized, empty_ids
+    return tokenized, [t.doc_id for t in tokenized if t.is_empty]
 
 
 def load_corpus(path: str | Path) -> list[RawDocument]:

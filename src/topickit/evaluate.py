@@ -7,7 +7,6 @@ be cross-checked by a naive reimplementation (the tests do exactly that).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -26,8 +25,6 @@ __all__ = [
     "decisiveness",
     "build_report",
 ]
-
-logger = logging.getLogger(__name__)
 
 _BLOCK_FLOATS = 2**16
 
@@ -114,8 +111,8 @@ def group_frequent_terms(
     """The n most frequent terms of each of the groups ``0 .. k-1`` of ``labels``.
 
     Terms are ranked by total TF over the group's documents (ties
-    lexicographic).  A group with no documents yields an empty list and a
-    logged flag.
+    lexicographic).  A group with no documents yields an empty list, which
+    ``build_report`` names in a notice.
     """
     if tf.weighting != "tf":
         raise ValueError(f"group term counting requires TF weights, got {tf.weighting!r}")
@@ -127,8 +124,6 @@ def group_frequent_terms(
 
     sizes = np.bincount(labels, minlength=k)
     totals = (_indicator(labels, k) @ tf.values).toarray()  # integer counts: exact sums
-    for g in np.flatnonzero(sizes == 0):
-        logger.warning("group %d is empty; no frequent-term list", g)
     return [_ranked_terms(totals[g], vocab, n) if sizes[g] else [] for g in range(k)]
 
 
@@ -163,15 +158,14 @@ def decisiveness(doc_topic) -> float:
     Rows are L1-normalised first (so probability rows and unnormalised
     loadings are comparable), then the population standard deviation of
     each row is averaged.  Ranges from 0 (uniform rows) to
-    sqrt(k-1)/k (one-hot rows).  Zero rows are skipped with a flag.
+    sqrt(k-1)/k (one-hot rows).  All-zero rows are skipped, and the caller
+    names them (``build_report`` does in a notice); ValueError if every row is.
     """
     w = np.asarray(doc_topic, dtype=np.float64)
     if w.ndim != 2 or w.shape[1] < 2:
         raise ValueError("decisiveness needs a 2-d matrix with at least 2 columns")
     l1 = np.sum(np.abs(w), axis=1)
     keep = l1 > 0
-    if not np.all(keep):
-        logger.warning("decisiveness: skipping %d all-zero row(s)", int(np.sum(~keep)))
     if not np.any(keep):
         raise ValueError("decisiveness is undefined: all rows are zero")
     normalised = w[keep] / l1[keep, np.newaxis]
@@ -247,6 +241,10 @@ def build_report(
             notices.append(f"group {g} is empty; keyword ratio undefined")
     per_topic, mean_ratio = keyword_match_ratio(keywords, group_terms)
 
+    zero = [tf.doc_ids[i] for i in np.flatnonzero(~np.any(doc_topic, axis=1))]
+    if zero:
+        notices.append(f"{len(zero)} document(s) with an all-zero topic row, grouped under "
+                       f"topic 0 and left out of decisiveness: {', '.join(zero)}")
     dec = None
     if k < 2:
         notices.append("decisiveness skipped: K<2")

@@ -120,14 +120,6 @@ class DocCompanyTermTensor:
         pairs = sp.csr_matrix((values, (pair, t)), shape=(len(keys), shape[2]))
         return cls(tuple(shape), pairs, keys // shape[1], keys % shape[1], tuple(company_ids))
 
-    @property
-    def nnz(self) -> int:
-        return self.pairs.nnz
-
-    def sum_over_companies(self) -> sp.csr_matrix:
-        """Marginalise the company axis back to a (D, V) count matrix."""
-        return _indicator(self.pair_doc, self.shape[0]) @ self.pairs
-
 
 @dataclass(frozen=True)
 class PreparedCorpus:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from topickit.corpus import TokenizedDocument
 
@@ -18,6 +19,14 @@ def random_tokenized(rng, n_docs=8, vocab_size=12, max_len=30, prefix="w"):
         tokens = rng.choice(terms, size=n).tolist()
         docs.append(toks(f"d{d:03d}", tokens))
     return docs
+
+
+def company_sum(tensor):
+    """The tensor's company axis summed out: the (D, V) counts of each document's pairs."""
+    n_pairs = len(tensor.pair_doc)
+    by_doc = sp.csr_matrix((np.ones(n_pairs), (tensor.pair_doc, np.arange(n_pairs))),
+                           shape=(tensor.shape[0], n_pairs))
+    return by_doc @ tensor.pairs
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from topickit.ntf import fit_ntf
 from topickit.porter import stem
 from topickit.vectorize import build_tensor, build_vocabulary, tf_matrix, tfidf_matrix
 
-from conftest import random_tokenized
+from conftest import company_sum, random_tokenized
 from planted import EXPERIMENT_SEED, PLANTED_SEED, purity, write_planted_corpus
 from test_evaluate import silhouette_oracle
 from test_porter import load_reference
@@ -77,7 +77,7 @@ class TestCriterion3TensorMarginalisation:
             tensor = build_tensor(docs, vocab, companies)
             tf = tf_matrix(docs, vocab)
             assert np.array_equal(
-                tensor.sum_over_companies().toarray(), tf.values.toarray()
+                company_sum(tensor).toarray(), tf.values.toarray()
             )
         report(3, "tensor company-axis marginalisation, 100 corpora")
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import logging
@@ -19,6 +20,8 @@ from topickit.corpus import StopwordList, load_corpus, preprocess_corpus
 from topickit.lda import LdaConfig
 from topickit.nmf import fit_nmf
 from topickit.ntf import fit_ntf
+
+from planted import write_planted_corpus
 
 
 def write_mini_corpus(path, n_per_topic=12):
@@ -495,6 +498,50 @@ class TestRunExperiment:
         manifest = run_experiment(config)
         assert manifest.digest["documents_after_filters"] == 10
 
+    def test_every_notice_is_logged_once(self, tmp_path, caplog):
+        """Planted documents plus one that filtering drops, one left empty and one whose
+        only words no other document has: NMF drives that one's topic row to exactly 0."""
+        corpus = tmp_path / "planted.jsonl"
+        write_planted_corpus(corpus)
+        with open(corpus, "a", encoding="utf-8") as fh:
+            for doc_id, text, year in (("stops", "the of and 2024", 2001),
+                                       ("zz-oov", "zircon xenotime", 2002),
+                                       ("old", "coal seam drilling", 1990)):
+                fh.write(json.dumps({"doc_id": doc_id, "company_id": "company0", "text": text,
+                                     "year": year}) + "\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.INFO, logger="topickit"):
+            manifest = run_experiment(RunConfig(
+                corpus_path=str(corpus), methods=("lda", "nmf"), k_values=(2, 3, 4),
+                filters={"year": "2000:2019"}, out_dir=str(out)))
+        assert {r.name for r in caplog.records} == {"topickit.cli"}
+        lines = caplog.text.splitlines()
+        assert manifest.notices == ["metadata filters dropped 1 document(s)",
+                                    "1 document(s) empty after preprocessing: stops"]
+        for notice in manifest.notices:
+            assert sum(notice in line for line in lines) == 1
+        zero = ("1 document(s) with an all-zero topic row, grouped under topic 0 and left out "
+                "of decisiveness: zz-oov")
+        for cell in manifest.cells:
+            name = f"cell ({cell['method']}, k={cell['k']}): ok in "
+            [line] = [line for line in lines if "cell (" in line and name in line]
+            notices = json.loads((out / cell["method"] / f"k{cell['k']}" / "report.json")
+                                 .read_text())["notices"]
+            assert notices == ([zero] if cell["method"] == "nmf" else [])
+            assert line.endswith("s" + "".join(f"; {n}" for n in notices))
+        assert sum("cell (" in line for line in lines) == len(manifest.cells) == 6
+
+    def test_only_the_cli_imports_logging(self):
+        """The library reports through what it returns; only the sweep logs."""
+        importers = []
+        for path in sorted(Path(topickit.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                if any(name.split(".")[0] == "logging" for name in names):
+                    importers.append(path.name)
+        assert importers == ["cli.py"]
+
 
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
@@ -705,16 +752,16 @@ class TestMainExitCodes:
         assert "Traceback" not in printed.err
         assert fitted == [] and (tmp_path / "file").read_text() == ""
 
-    @pytest.mark.parametrize("kind", ["summary", "summary/manifest.json"])
+    @pytest.mark.parametrize("kind", ["summary", "summary/manifest.json", "nmf/k2"])
     def test_unusable_summary_path_is_1_before_any_fit(self, tmp_path, capsys, monkeypatch,
                                                        kind):
         corpus = write_mini_corpus(tmp_path / "corpus.jsonl", n_per_topic=2)
         blocker = tmp_path / "out" / kind
         blocker.parent.mkdir(parents=True)
-        if kind == "summary":  # a file where the summary directory goes
-            blocker.write_text("")
-        else:  # a directory where the manifest goes
+        if kind == "summary/manifest.json":  # a directory where the manifest goes
             blocker.mkdir()
+        else:  # a file where the summary or a cell's directory goes
+            blocker.write_text("")
         fitted = []
         monkeypatch.setattr(cli, "_run_cell", lambda *args: fitted.append(args))
         assert main(["--corpus", str(corpus), "--out", str(tmp_path / "out")]) == 1

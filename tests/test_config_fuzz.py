@@ -7,12 +7,19 @@ background of valid settings; the config file is also missing, or holds an
 array.  Each case must exit 1 with one printed line, ``config error: ...``,
 that names the setting or its flag (or the file's fault); none may raise, fit
 a cell or make the output directory.
+
+The output side has a seeded walk of its own: files and directories already at
+the output, summary, manifest and cell paths, and the artifacts of an earlier
+run.  Each case must exit 0 or 1 with no traceback, and fit nothing when it
+exits 1; a manifest must list only cells whose files its own run wrote.
 """
 
 import json
+import logging
 import math
 import random
 import re
+import shutil
 from dataclasses import fields
 
 import pytest
@@ -170,3 +177,67 @@ def test_unknown_setting_is_named_by_the_field_names(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "run.json")]) == 1
     assert capsys.readouterr().out == "config error: unknown setting(s): jobs\n"
 
+
+
+
+# Where the walk puts a file or a directory before a run of nmf at K=2 and 3.
+OUTPUT_PATHS = ["", "summary", "summary/manifest.json", "nmf/k2", "nmf/k3"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_output_path_case_exits_cleanly(tmp_path, capsys, caplog, seed):
+    rng = random.Random(seed)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({
+        "doc_id": f"d{i}", "company_id": f"c{i % 2}",
+        "text": "drill bore shaft" if i % 2 else "gold vein assay"}) + "\n" for i in range(6)))
+    kinds = set()
+    for trial in range(20):
+        out = tmp_path / f"o{trial}"
+        earlier = []
+        if rng.random() < 0.5:  # an earlier run, at another seed and over other cells
+            earlier = rng.sample([2, 3, 4], rng.randint(1, 2))
+            assert main(["--corpus", str(corpus), "--methods", "nmf", "--k",
+                         ",".join(map(str, earlier)), "--seed", "1", "--out", str(out)]) == 0
+        rel = rng.choice(OUTPUT_PATHS)
+        path = out / rel
+        if rng.random() < 0.5 and not path.exists():  # a file in a directory's place
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("x")
+        else:  # a directory, also in place of an earlier manifest
+            if path.is_file():
+                path.unlink()
+            path.mkdir(parents=True, exist_ok=True)
+            if rel.startswith("nmf/") and rng.random() < 0.5:
+                (path / "notes.txt").write_text("x")
+        # A file where a directory goes, or a directory where the manifest goes.
+        blocked = path.is_file() != (rel == "summary/manifest.json")
+        kinds.add((rel, path.is_file(), bool(earlier)))
+        capsys.readouterr()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="topickit"):
+            try:
+                code = main(["--corpus", str(corpus), "--methods", "nmf", "--k", "2,3",
+                             "--seed", "2", "--out", str(out)])
+            except (Exception, SystemExit) as exc:  # a traceback is a failure, whatever it is
+                code = repr(exc)
+        printed = capsys.readouterr()
+        case = (trial, rel, path.is_file(), earlier, printed.out)
+        assert "Traceback" not in printed.err + caplog.text, case
+        assert code == (1 if blocked else 0), case
+        if blocked:  # one line, before any fit
+            assert printed.out.startswith("config error: out_dir cannot be made: "), case
+            assert printed.out.count("\n") == 1 and "cell (" not in caplog.text, case
+        manifest = out / "summary" / "manifest.json"
+        kept = bool(earlier) and rel != "summary/manifest.json"  # the earlier run's manifest
+        assert manifest.is_file() == (not blocked or kept), case
+        if manifest.is_file():  # every cell it lists holds the files of its own run
+            saved = json.loads(manifest.read_text())
+            assert saved["config"]["seed"] == (1 if blocked else 2), case
+            for cell in saved["cells"]:
+                model = json.loads((out / "nmf" / f"k{cell['k']}" / "model.json").read_text())
+                assert cell["status"] == "ok" and model["seed"] == saved["config"]["seed"], case
+            stale = [f"nmf/k{k}" for k in sorted(earlier) if k == 4]
+            assert any(n.endswith(f"(left as they are): {', '.join(stale)}")
+                       for n in saved["notices"]) == bool(stale and not blocked), case
+    assert len(kinds) > 8

@@ -1,5 +1,4 @@
 import json
-import logging
 import math
 
 import numpy as np
@@ -17,10 +16,12 @@ from topickit.evaluate import (
 )
 from topickit.export import write_json
 from topickit.lda import LdaConfig, fit_lda
-from topickit.vectorize import build_vocabulary, tf_matrix
+from topickit.vectorize import build_vocabulary, tf_matrix, tfidf_matrix
 
 from conftest import random_tokenized, toks
 from test_lda import two_topic_corpus
+
+DOCS = [toks("d1", ["coal", "seam"]), toks("d2", ["gold", "ore"]), toks("d3", ["coal", "ore"])]
 
 
 def silhouette_oracle(points, labels):
@@ -220,17 +221,20 @@ class TestGroupFrequentTerms:
         order = np.lexsort((np.array(vocab.index_to_term), -totals))
         assert groups[0] == [vocab.index_to_term[i] for i in order[:30]]
 
-    def test_empty_group_flagged(self, rng, caplog):
+    def test_empty_group_flagged(self, rng):
         docs = random_tokenized(rng, n_docs=4, vocab_size=8)
         vocab = build_vocabulary(docs)
         tf = tf_matrix(docs, vocab)
         weights = np.zeros((4, 3))
         weights[:, 0] = 1.0  # nobody lands in groups 1, 2
         labels = argmax_assign(weights, tf.doc_ids)
-        with caplog.at_level(logging.WARNING):
-            groups = group_frequent_terms(tf, labels, 3, vocab, n=5)
+        groups = group_frequent_terms(tf, labels, 3, vocab, n=5)
         assert groups[1] == [] and groups[2] == []
-        assert "is empty" in caplog.text
+        report = build_report("nmf", 3, weights, rng.uniform(0.1, 1.0, (3, len(vocab))), tf,
+                              vocab, ["c0"] * 4, n_keywords=5)
+        assert report.notices == ["silhouette skipped: all documents in one group",
+                                  "group 1 is empty; keyword ratio undefined",
+                                  "group 2 is empty; keyword ratio undefined"]
 
     def test_matches_recount_oracle(self, rng):
         for _ in range(100):
@@ -328,16 +332,36 @@ class TestDecisiveness:
             value = decisiveness(rows)
             assert 0.0 <= value <= math.sqrt(k - 1) / k + 1e-12
 
-    def test_zero_rows_skipped_with_flag(self, caplog):
-        rows = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with caplog.at_level(logging.WARNING):
-            value = decisiveness(rows)
-        assert abs(value - 0.5) < 1e-12  # only the one-hot row counts
-        assert "all-zero" in caplog.text
+    def test_zero_rows_skipped_with_flag(self):
+        rows = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+        value = decisiveness(rows)
+        assert abs(value - 0.5) < 1e-12  # only the one-hot rows count
+        vocab = build_vocabulary(DOCS)
+        report = build_report("nmf", 2, rows, np.ones((2, len(vocab))), tf_matrix(DOCS, vocab),
+                              vocab, ["c0", "c0", "c1"], n_keywords=2)
+        assert report.decisiveness == value and report.topic_sizes == [2, 1]
+        assert report.notices == ["1 document(s) with an all-zero topic row, grouped under "
+                                  "topic 0 and left out of decisiveness: d2"]
 
     def test_single_column_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
             decisiveness(np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tf, vocab: silhouette(np.ones((3, 2)), [0, 1]), "2 labels for 3 samples"),
+    (lambda tf, vocab: group_frequent_terms(tfidf_matrix(DOCS, vocab), np.array([0, 1, 1]), 2,
+                                            vocab, n=2), "requires TF weights, got 'tfidf'"),
+    (lambda tf, vocab: group_frequent_terms(tf, np.array([0, 1, 1]), 2, vocab, n=5),
+     "n=5 exceeds vocabulary size 4"),
+    (lambda tf, vocab: group_frequent_terms(tf, np.array([0, 1]), 2, vocab, n=2),
+     "2 labels for 3 documents"),
+    (lambda tf, vocab: decisiveness(np.zeros((3, 2))), "all rows are zero"),
+])
+def test_bad_arguments_rejected(call, message):
+    vocab = build_vocabulary(DOCS)
+    with pytest.raises(ValueError, match=message):
+        call(tf_matrix(DOCS, vocab), vocab)
 
 
 class TestBuildReport:

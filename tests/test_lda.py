@@ -565,6 +565,13 @@ class TestErrors:
         with pytest.raises(ValueError):
             LdaConfig(k=0)
 
+    @pytest.mark.parametrize("docs, terms", [(11, 20), (12, 21)])
+    def test_elbo_shape_mismatch_rejected(self, rng, docs, terms):
+        tf = random_tf(rng, n_docs=12, n_terms=20)
+        model = model_at(np.ones((docs, 2)), np.ones((2, terms)))
+        with pytest.raises(ValueError, match=rf"model shape \({docs}, {terms}\) does not match"):
+            lda_elbo(model, tf)
+
     @pytest.mark.parametrize("settings, name", [
         ({"max_iter": 0}, "max_iter"), ({"max_iter": -1}, "max_iter"),
         ({"max_iter": 2.5}, "max_iter"), ({"max_iter": True}, "max_iter"),

@@ -175,6 +175,11 @@ class TestFit:
         with pytest.raises(ValueError, match="empty tensor"):
             fit_ntf(np.zeros((0, 2, 3)), 1)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 2, 4, 1)])
+    def test_array_not_3_way_rejected(self, shape):
+        with pytest.raises(ValueError, match=f"expected a 3-way tensor, got ndim={len(shape)}"):
+            fit_ntf(np.ones(shape), 2)
+
     @pytest.mark.parametrize("settings, name", [
         ({"max_sweeps": 0}, "max_sweeps"), ({"max_sweeps": -2}, "max_sweeps"),
         ({"max_sweeps": 2.5}, "max_sweeps"), ({"max_sweeps": True}, "max_sweeps"),

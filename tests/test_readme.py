@@ -14,9 +14,10 @@ def library_use_block() -> str:
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
 
 
-def test_library_use_runs_on_a_corpus_with_dropped_documents(tmp_path, capsys):
+def test_library_use_runs_on_a_corpus_with_dropped_documents(tmp_path, capsys, caplog):
     """Only the corpus path is changed; one document is empty after preprocessing and
-    one holds only words that no other document has, so ``min_df=2`` leaves it no term."""
+    one holds only words that no other document has, so ``min_df=2`` leaves it no term.
+    The library logs nothing: it reports both in the notices it returns."""
     corpus = tmp_path / "planted.jsonl"
     write_planted_corpus(corpus)
     with open(corpus, "a", encoding="utf-8") as fh:
@@ -31,6 +32,7 @@ def test_library_use_runs_on_a_corpus_with_dropped_documents(tmp_path, capsys):
     prepared = namespace["corpus"]
     assert prepared.digest["documents_loaded"] == 62
     assert prepared.digest["documents_in_matrices"] == prepared.tf.shape[0] == 60
+    assert caplog.records == []
     assert capsys.readouterr().out == (
         "1 document(s) empty after preprocessing: stops\n"
         "1 document(s) have no in-vocabulary token: rare\n")

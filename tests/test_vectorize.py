@@ -23,7 +23,7 @@ from topickit.vectorize import (
     tfidf_matrix,
 )
 
-from conftest import random_tokenized, toks
+from conftest import company_sum, random_tokenized, toks
 
 
 def tfidf_oracle(token_docs, vocab_terms):
@@ -437,9 +437,9 @@ class TestTensor:
             companies = {d.doc_id: f"c{rng.integers(0, 4)}" for d in docs}
             tensor = build_tensor(docs, vocab, companies)
             tf = tf_matrix(docs, vocab)
-            diff = tensor.sum_over_companies() - tf.values
+            diff = company_sum(tensor) - tf.values
             assert diff.nnz == 0
-            assert tensor.nnz == tf.values.nnz
+            assert tensor.pairs.nnz == tf.values.nnz
 
     def test_coordinates_sorted_by_doc_company_term(self, rng):
         for _ in range(50):
