@@ -226,7 +226,7 @@ def _run_cell(method: str, k: int, bundle: PreparedCorpus, config: RunConfig,
     """Fit, evaluate and write one (method, K) cell; return its manifest row."""
     started = time.perf_counter()
     cell_dir = out_dir / method / f"k{k}"
-    status, error, converged, n_iter, notices = "ok", None, None, None, []
+    status, error, failure, converged, n_iter, notices = "ok", None, None, None, None, []
     scores = dict.fromkeys(
         ("silhouette_documents", "silhouette_companies", "keyword_match_mean", "decisiveness")
     )
@@ -262,11 +262,11 @@ def _run_cell(method: str, k: int, bundle: PreparedCorpus, config: RunConfig,
             "decisiveness": report.decisiveness,
         }
     except Exception as exc:  # crash containment: one cell never kills the sweep
-        logger.exception("cell (%s, k=%d) failed", method, k)
-        status, error = "failed", f"{type(exc).__name__}: {exc}"
+        status, error, failure = "failed", f"{type(exc).__name__}: {exc}", exc
     seconds = time.perf_counter() - started
-    logger.info("cell (%s, k=%d): %s in %.2fs%s", method, k, status, seconds,
-                "; ".join(["", *notices]))  # the report's notices, after "; "
+    logger.log(logging.ERROR if error else logging.INFO, "cell (%s, k=%d): %s in %.2fs%s",
+               method, k, status, seconds, f": {error}" if error else "; ".join(["", *notices]),
+               exc_info=failure)  # one line a cell: the error and traceback, or the notices
     return {"method": method, "k": k, "status": status, "error": error,
             "converged": converged, "n_iter": n_iter, **scores, "seconds": seconds}
 

@@ -57,7 +57,7 @@ class RawDocument:
             raise CorpusError("doc_id must be non-empty")
         if not self.company_id:
             raise CorpusError(f"document {self.doc_id!r}: company_id must be non-empty")
-        if not self.text.strip():
+        if not self.text or self.text.isspace():  # what strip() trims, with no copy
             raise CorpusError(f"document {self.doc_id!r}: text is empty after trim")
 
 

@@ -1,19 +1,19 @@
 """Vocabulary construction and the three numeric corpus representations.
 
-From a list of tokenized documents this module builds
+From a corpus file, or from a list of tokenized documents, this module builds
 
 * a term <-> index bijection with document frequencies,
 * a sparse document x term count matrix (TF) and its TF-IDF weighting,
 * a sparse document x company x term tensor whose company-axis sum
   reproduces the TF matrix exactly.
 
-``count_terms`` gives each distinct stem an integer code and counts the
-codes once, into one CSR matrix from which the vocabulary (two
-``bincount``s) and the TF matrix both come.  TF-IDF and the tensor derive
-from one TF count (``tfidf_matrix`` and ``build_tensor`` count it first);
-the tensor's pair rows are that TF matrix, shared, not copied, so no
-caller may write into either.  ``prepare_corpus`` is a sweep's whole route
-from a corpus path to all three, with the run digest's counts and notices.
+``prepare_corpus``, a sweep's route from a corpus path to all three, codes each
+run of a text with one memo lookup (``_CodeMemo``, ``preprocess``'s rule) into
+one int32 array; ``count_terms``, the token route, codes tokenized documents'
+stems in the same first-sight order.  Both count the codes once (``_count``),
+into one CSR matrix from which the vocabulary (two ``bincount``s) and TF come
+(``_ranked``).  TF-IDF and the tensor derive from one TF count; the tensor's
+pair rows are that TF matrix, shared, so no caller may write into either.
 
 It also holds the input checks that the run configuration and the solvers
 share, and the one rule by which all three solvers stop or fail.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -40,7 +41,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import (CorpusError, RawDocument, StopwordList, TokenizedDocument, _read_corpus,
-                     preprocess_corpus)
+                     _runs, _TokenMemo)
+from .porter import stem
 
 __all__ = [
     "Vocabulary",
@@ -197,10 +199,13 @@ def count_terms(docs: Iterable[TokenizedDocument],
     check_setting("min_df", min_df, 1)
     docs = list(docs)
     codes = _Codes()
-    counts = _count(docs, codes)
-    if not codes:
+    return _ranked(_count_tokens(docs, codes), list(codes), min_df, tuple(d.doc_id for d in docs))
+
+
+def _ranked(counts: sp.csr_matrix, stems: list[str], min_df: int, doc_ids: tuple[str, ...]):
+    """``count_terms`` from counts with one column per stem, relabelled in place."""
+    if not stems:
         raise ValueError("cannot build a vocabulary from an empty corpus")
-    stems = list(codes)
     dfreq = np.bincount(counts.indices, minlength=len(stems)).astype(np.int64)
     kept = np.flatnonzero(dfreq >= min_df)
     if not kept.size:
@@ -213,9 +218,9 @@ def count_terms(docs: Iterable[TokenizedDocument],
     counts.data[column[counts.indices] < 0] = 0
     counts.eliminate_zeros()  # in place, as is the sort of the relabelled columns
     values = sp.csr_matrix((counts.data, column[counts.indices], counts.indptr),
-                           shape=(len(docs), len(kept)))
+                           shape=(len(doc_ids), len(kept)))
     values.sort_indices()
-    tf = DocTermMatrix(values, "tf", tuple(d.doc_id for d in docs))
+    tf = DocTermMatrix(values, "tf", doc_ids)
     return Vocabulary(dict(zip(terms, range(len(terms)))), terms, dfreq[kept]), tf
 
 
@@ -227,13 +232,28 @@ class _Codes(dict):
         return code
 
 
-def _count(docs: list[TokenizedDocument], codes: _Codes) -> sp.csr_matrix:
-    """Canonical CSR counts of each document's tokens, by their code; one column per code."""
+class _CodeMemo(_TokenMemo):
+    """Run -> its stem's code in ``codes`` plus one, so no kept run is falsy; None if dropped."""
+
+    def __init__(self, stops: StopwordList):
+        super().__init__(dict.fromkeys(stops.base | stops.extra))
+        self.codes = _Codes()
+
+    def _keep(self, token: str) -> int:
+        return self.codes[stem(token)] + 1
+
+
+def _count_tokens(docs: list[TokenizedDocument], codes: _Codes) -> sp.csr_matrix:
+    """``_count`` of each document's tokens, by their code in ``codes``."""
     indptr = np.cumsum([0, *map(len, (d.tokens for d in docs))])
     cols = map(codes.__getitem__, chain.from_iterable(d.tokens for d in docs))
-    cols = np.fromiter(cols, np.int32, indptr[-1])
-    ones = np.ones(indptr[-1], np.int32)
-    mat = sp.csr_matrix((ones, cols, indptr), shape=(len(docs), len(codes)))
+    return _count(np.fromiter(cols, np.int32, indptr[-1]), indptr, len(codes))
+
+
+def _count(cols: np.ndarray, indptr: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """Canonical CSR counts of the int32 codes ``cols``, summed in place; rows end at ``indptr``."""
+    ones = np.ones(len(cols), np.int32)
+    mat = sp.csr_matrix((ones, cols, indptr), shape=(len(indptr) - 1, n_cols))
     mat.sum_duplicates()  # sorts each row's columns and sums the repeats, exactly in int32
     return mat.astype(np.float64)  # compact copies: the token-length arrays go
 
@@ -246,7 +266,7 @@ def tf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMatrix
     each row lists its terms once, in index order.
     """
     # Stems outside the vocabulary get codes past its columns, which are then cut.
-    mat = _count(docs, _Codes(vocab.term_to_index))[:, :len(vocab)]
+    mat = _count_tokens(docs, _Codes(vocab.term_to_index))[:, :len(vocab)]
     return DocTermMatrix(mat, "tf", tuple(d.doc_id for d in docs))
 
 
@@ -309,37 +329,37 @@ def prepare_corpus(path: str | Path, stops: StopwordList | None = None, min_df: 
     Every corpus error (none kept, all empty, no term reaching ``min_df`` too) is a
     CorpusError naming the file; a bad ``min_df`` is a ValueError before it is read."""
     check_setting("min_df", min_df, 1)
-    n_loaded, company_map = 0, {}  # records read; each kept document's company
-
-    def kept_documents():  # one record at a time, so no text outlives its tokens
-        nonlocal n_loaded
-        for doc in _read_corpus(path):
-            n_loaded += 1
-            if keep is None or keep(doc):
-                company_map[doc.doc_id] = doc.company_id
-                yield doc
-
-    tokenized, empty_ids = preprocess_corpus(kept_documents(), stops)
-    n_docs, notices = len(tokenized), []
-    if n_docs < n_loaded:
-        notices.append(f"metadata filters dropped {n_loaded - n_docs} document(s)")
-    if empty_ids:
-        notices.append(f"{len(empty_ids)} document(s) empty after preprocessing: "
-                       f"{', '.join(empty_ids)}")
-
+    memo = _CodeMemo(StopwordList() if stops is None else stops)
+    cols, indptr, n_loaded = array("i"), array("q", [0]), 0  # codes + 1, row ends, records
+    company_map = {}  # each kept document's company, in row order
+    for doc in _read_corpus(path):  # one record at a time, so no text outlives its codes
+        n_loaded += 1
+        if keep is None or keep(doc):
+            company_map[doc.doc_id] = doc.company_id
+            cols.extend(filter(None, map(memo.__getitem__, _runs(doc.text))))
+            indptr.append(len(cols))
+    has_token = np.diff(indptr) > 0
+    empty_ids = [doc_id for doc_id, ok in zip(company_map, has_token) if not ok]
+    n_docs = len(company_map)
     try:  # counted once; TF-IDF and the tensor derive from it
         if len(empty_ids) == n_docs:
             raise ValueError(f"all {n_docs} documents are empty after preprocessing" if n_docs
                              else "no documents left after filtering")
-        vocab, tf = count_terms([t for t in tokenized if not t.is_empty], min_df=min_df)
+        codes = np.frombuffer(cols, np.int32)
+        codes -= 1  # in place: the count sums the codes where they are
+        vocab, tf = _ranked(_count(codes, np.frombuffer(indptr, np.int64), len(memo.codes)),
+                            list(memo.codes), min_df, tuple(company_map))
+        del codes, cols, memo  # not needed past the count: the fits can reuse their memory
     except ValueError as exc:  # every corpus-phase error names the corpus file
         raise CorpusError(f"{Path(path).name}: {exc}") from exc
-    del tokenized  # not needed past the count: the fits can reuse its memory
-    has_term = np.diff(tf.values.indptr) > 0  # min_df can leave a document no term
-    dropped_oov = [doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if not ok]
-    if dropped_oov:
-        notices.append(f"{len(dropped_oov)} document(s) have no in-vocabulary token: "
-                       f"{', '.join(dropped_oov)}")
+    has_term = np.diff(tf.values.indptr) > 0  # no token, or none that reaches min_df
+    dropped_oov = [doc_id for doc_id, ok, tokens in zip(tf.doc_ids, has_term, has_token)
+                   if tokens and not ok]
+    notices = [f"metadata filters dropped {n_loaded - n_docs} document(s)"] * (n_docs < n_loaded)
+    notices += [f"{len(ids)} document(s) {what}: {', '.join(ids)}" for ids, what in (
+        (empty_ids, "empty after preprocessing"), (dropped_oov, "have no in-vocabulary token"))
+        if ids]
+    if not has_term.all():
         kept_ids = tuple(doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if ok)
         # An empty row ends where it starts: dropping its end from indptr moves no entry.
         values = sp.csr_matrix((tf.values.data, tf.values.indices,

@@ -82,8 +82,8 @@ class TestCountOnce:
             calls.append(("count_terms", args))
             return real_count(*args, **kwargs)
 
-        def counting_codes(*args, **kwargs):  # every pass over the tokens
-            calls.append(("tokens", args))
+        def counting_codes(*args, **kwargs):  # every pass through the shared counter
+            calls.append(("counter", args))
             return real_codes(*args, **kwargs)
 
         def capturing_run_cell(method, k, bundle, *args):
@@ -100,7 +100,7 @@ class TestCountOnce:
 
     def test_tf_counted_once_per_run(self, tmp_path, monkeypatch):
         _, calls, _ = self.run_capturing_bundle(tmp_path, monkeypatch)
-        assert [name for name, _ in calls] == ["count_terms", "tokens"]
+        assert [name for name, _ in calls] == ["counter"]
 
     def test_document_wrappers_equal_the_bundle(self, tmp_path, monkeypatch):
         config, _, seen = self.run_capturing_bundle(tmp_path, monkeypatch)
@@ -530,6 +530,21 @@ class TestRunExperiment:
             assert notices == ([zero] if cell["method"] == "nmf" else [])
             assert line.endswith("s" + "".join(f"; {n}" for n in notices))
         assert sum("cell (" in line for line in lines) == len(manifest.cells) == 6
+
+    def test_a_failed_cell_logs_one_line(self, tmp_path, caplog, capsys):
+        corpus = tmp_path / "planted.jsonl"
+        write_planted_corpus(corpus)  # 8 companies, so NTF at K=9 fails before any fit
+        with caplog.at_level(logging.INFO, logger="topickit"):
+            assert main(["--corpus", str(corpus), "--methods", "ntf", "--k", "2,9",
+                         "--out", str(tmp_path / "out")]) == 3
+        [record] = [r for r in caplog.records if "cell (ntf, k=9)" in r.getMessage()]
+        assert record.levelno == logging.ERROR
+        assert re.fullmatch(r"cell \(ntf, k=9\): failed in \d+\.\d\ds: ValueError: k=9 out of "
+                            r"range: exceeds the smallest side of tensor shape \(60, 8, 160\)",
+                            record.getMessage())
+        assert record.exc_info[0] is ValueError and "Traceback" in caplog.text
+        [ok] = [r for r in caplog.records if "cell (ntf, k=2)" in r.getMessage()]
+        assert ok.levelno == logging.INFO and ok.exc_info is None
 
     def test_only_the_cli_imports_logging(self):
         """The library reports through what it returns; only the sweep logs."""

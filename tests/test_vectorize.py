@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from topickit.corpus import CorpusError, StopwordList
+from topickit.corpus import CorpusError, StopwordList, load_corpus, preprocess_corpus
 from topickit.evaluate import _ranked_terms
 from topickit.vectorize import (
     DocCompanyTermTensor,
+    _tensor,
     _tfidf,
     build_tensor,
     build_vocabulary,
@@ -208,6 +209,87 @@ class TestPrepareCorpus:
             prepare_corpus(path, min_df=9)
         with pytest.raises(ValueError, match="^min_df must be >= 1, got 0$"):
             prepare_corpus(tmp_path / "missing.jsonl", min_df=0)
+
+
+    # Non-ASCII runs (a dotted capital I lowercases to two characters), runs with digits,
+    # numeric characters that are not digits, stop-words and their inflected forms.
+    WORDS = ["coal", "seams", "drilling", "drilled", "gold", "Zürich", "ÉTUDE", "naïve",
+             "straße", "İstanbul", "ΟΔΟΣ", "½mile", "2nd", "x25", "٣rd", "co2", "reporting",
+             "the", "and", "Of", "BORE", "bores", "vein_ore", "Ærø"]
+
+    def write_seeded(self, rng, path):
+        """Random records: some only stop-words and numbers, some of words only they hold."""
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(int(rng.integers(8, 30))):
+                kind = rng.integers(5)
+                if kind == 0:
+                    text = "the of and 2024 ½ – ٣"  # empty after preprocessing
+                elif kind == 1:  # words in no other document: min_df can empty it
+                    text = f"zircon{chr(97 + i % 26)}{i} Ærø{chr(97 + i % 26)}"
+                else:
+                    text = " ".join(rng.choice(self.WORDS, int(rng.integers(1, 12))))
+                fh.write(json.dumps({"doc_id": f"d{i:02d}", "company_id": f"c{rng.integers(4)}",
+                                     "text": text, "year": int(rng.integers(1995, 2015))},
+                                    ensure_ascii=bool(rng.integers(2))) + "\n")
+
+    def test_equals_the_token_route(self, tmp_path):
+        """The run-to-code route against preprocess_corpus, count_terms, _tfidf and _tensor,
+        bit for bit, with the digest and notices the token route implies."""
+        rng = np.random.default_rng(28)
+        checked = set()
+        for trial in range(60):
+            path = tmp_path / f"c{trial}.jsonl"
+            self.write_seeded(rng, path)
+            stops = StopwordList.with_extra(["Gold"]) if trial % 2 else None
+            min_df = int(rng.integers(1, 4))
+            keep = (None if trial % 3 == 0 else (lambda doc: False) if trial % 10 == 5
+                    else (lambda doc: 2000 <= doc.year <= 2009))
+            raw = load_corpus(path)
+            kept = [doc for doc in raw if keep is None or keep(doc)]
+            tokenized, empty = preprocess_corpus(kept, stops)
+            try:
+                vocab, tf = count_terms([t for t in tokenized if not t.is_empty], min_df)
+            except ValueError:  # no documents, all empty, or no term reaching min_df
+                with pytest.raises(CorpusError, match=f"^{path.name}: ") as error:
+                    prepare_corpus(path, stops, min_df, keep)
+                checked.add(re.sub(r"\d+", "N", str(error.value).split(": ", 1)[1]))
+                continue
+            has_term = np.diff(tf.values.indptr) > 0
+            oov = [doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if not ok]
+            in_matrices = {doc_id for doc_id, ok in zip(tf.doc_ids, has_term) if ok}
+            docs = [t for t in tokenized if t.doc_id in in_matrices]
+            want_tf = tf_matrix(docs, vocab)
+            companies = {doc.doc_id: doc.company_id for doc in kept}
+            tensor = _tensor(want_tf, companies)
+            got = prepare_corpus(path, stops, min_df, keep)
+            assert got.vocab.index_to_term == vocab.index_to_term
+            assert got.vocab.doc_freq.tobytes() == vocab.doc_freq.tobytes()
+            assert got.tf.doc_ids == got.tfidf.doc_ids == want_tf.doc_ids
+            for mine, want in ((got.tf, want_tf), (got.tfidf, _tfidf(want_tf, vocab))):
+                for name in ("data", "indices", "indptr"):
+                    assert getattr(mine.values, name).dtype == getattr(want.values, name).dtype
+                    assert getattr(mine.values, name).tobytes() == \
+                        getattr(want.values, name).tobytes()
+            assert got.tensor.pair_company.tobytes() == tensor.pair_company.tobytes()
+            assert got.tensor.company_ids == tensor.company_ids
+            assert got.doc_companies == [companies[doc_id] for doc_id in want_tf.doc_ids]
+            assert got.digest == {
+                "documents_loaded": len(raw), "documents_after_filters": len(kept),
+                "documents_empty_after_preprocessing": empty,
+                "documents_without_vocabulary_terms": oov,
+                "documents_in_matrices": len(docs), "companies": tensor.shape[1],
+                "vocabulary_size": len(vocab)}
+            notices = [f"metadata filters dropped {len(raw) - len(kept)} document(s)"] * \
+                (len(kept) < len(raw))
+            for ids, what in ((empty, "empty after preprocessing"),
+                              (oov, "have no in-vocabulary token")):
+                notices += [f"{len(ids)} document(s) {what}: {', '.join(ids)}"] * bool(ids)
+            assert got.notices == notices
+            checked.update(name for name, ids in (("filter", len(kept) < len(raw)),
+                                                  ("empty", empty), ("oov", oov)) if ids)
+        assert checked == {"filter", "empty", "oov", "no documents left after filtering",
+                           "all N documents are empty after preprocessing",
+                           "no term reaches min_df=N"}
 
 
 class TestCheckNonnegative:
@@ -410,6 +492,26 @@ class TestPeakMemory:
         # an int32 code and an int32 one per token, then the counts copied compact as float64;
         # int64 codes, float64 ones or a copy of TF to order its columns take it past three
         assert _traced_peak(count_terms, docs, 3) < 3 * 8 * n_tokens
+
+    def test_prepare_corpus(self, tmp_path):
+        """The sweep's corpus route on 3000 JSONL records of 1-120 words over 3000 terms."""
+        rng = np.random.default_rng(3)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        terms = np.array([f"q{letters[i // 26 % 26]}{letters[i % 26]}{letters[i // 676]}"
+                          for i in range(3000)])
+        p = 1.0 / np.arange(1, 3001)
+        path = tmp_path / "zipf.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(3000):
+                text = " ".join(rng.choice(terms, int(rng.integers(1, 121)), p=p / p.sum()))
+                fh.write(json.dumps({"doc_id": f"d{i}", "company_id": f"c{i % 7}",
+                                     "text": text}) + "\n")
+        n_tokens = sum(len(t.tokens) for t in preprocess_corpus(load_corpus(path))[0])
+        # An int32 code and an int32 one per token, then the counts copied compact as float64
+        # data and int32 indices (0.72 stored entries a token here), beside the memo and the
+        # ids: 26.3 bytes a token.  A tuple of stems per document (eight bytes a token) or a
+        # copy of the codes takes it past 29.
+        assert _traced_peak(prepare_corpus, path, None, 3) < 29 * n_tokens
 
     def test_tfidf(self):
         vocab, tf = count_terms(self.zipf_corpus(), 3)
