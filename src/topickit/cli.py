@@ -284,6 +284,7 @@ def select_best(summaries: list[dict], margin: float = 0.02) -> dict:
     method with a single K takes it.  The overall winner compares the
     per-method picks lexicographically on (silhouette, keyword ratio).
     """
+    check_setting("margin", margin, 0, integer=False)
     if not summaries:
         raise ValueError("no summaries to select from")
     per_method: dict[str, dict] = {}

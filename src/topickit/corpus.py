@@ -136,9 +136,9 @@ def tokenize(text: str) -> list[str]:
     token.  Punctuation and underscores never appear in the output, and
     surviving tokens are lowercased before the length filter.
 
-    ``preprocess`` applies the same rule, once per distinct run (``_StemMemo``).
+    ``preprocess`` applies the same rule, once per distinct run (``_CodeMemo``).
     """
-    return list(filter(None, map(_TokenMemo().__getitem__, _runs(text))))
+    return list(_TokenMemo().kept(text))
 
 
 def remove_stopwords(tokens: list[str], stops: StopwordList) -> list[str]:
@@ -165,36 +165,48 @@ class _TokenMemo(dict):
 
     _keep = staticmethod(lambda token: token)
 
+    def kept(self, text: str) -> Iterator:
+        """The values of ``text``'s runs, in order, with each dropped run left out."""
+        return filter(None, map(self.__getitem__, _runs(text)))
 
-class _StemMemo(_TokenMemo):
-    """Run -> stem or None, so one lookup tokenises, drops stop-words and stems.
-    ``stem`` is pure, so a memo changes no output; it lives for one call, not the
-    process.  A word that stems to itself keeps the key object as its value."""
 
-    def _keep(self, token: str) -> str:
-        return stem(token)
+class _Codes(dict):
+    """Stem -> integer code; an unseen stem gets the next code, so codes follow first sight."""
 
-    def tokenized(self, doc: RawDocument) -> TokenizedDocument:
-        tokens = tuple(filter(None, map(self.__getitem__, _runs(doc.text))))
-        return TokenizedDocument(doc_id=doc.doc_id, tokens=tokens)
+    def __missing__(self, stem: str) -> int:
+        code = self[stem] = len(self)
+        return code
+
+
+class _CodeMemo(_TokenMemo):
+    """Run -> its stem's code in ``codes`` plus one, so no kept run is falsy; None if dropped.
+    One lookup tokenises, drops stop-words and stems, for the sweep (``prepare_corpus``) and
+    the token route alike; ``stem`` is pure, and a memo lives for one corpus."""
+
+    def __init__(self, stops: StopwordList):
+        super().__init__(dict.fromkeys(stops.base | stops.extra))
+        self.codes = _Codes()
+
+    def _keep(self, token: str) -> int:
+        return self.codes[stem(token)] + 1
 
 
 def preprocess_corpus(
     docs: Iterable[RawDocument], stops: StopwordList | None = None
 ) -> tuple[list[TokenizedDocument], list[str]]:
-    """Preprocess every document in input order, taking each from ``docs`` once, so
-    a generator's texts can be freed one by one as their tokens are made.
+    """Preprocess every document in input order, taking each from ``docs`` once, so a
+    generator's texts can be freed one by one as they are coded (``_CodeMemo``, the sweep's
+    memo); the codes then map back to stems.
 
     Returns the tokenized documents (including empty ones) plus the ids of
     documents that became empty, which the caller reports (``prepare_corpus``
     names them in a notice).
     """
-    if stops is None:
-        stops = StopwordList()
-    # Most runs repeat (about 17k distinct tokens in 166k at 1000 report-like
-    # documents), so each distinct run is judged and stemmed once per call.
-    stems = _StemMemo.fromkeys(stops.base | stops.extra)
-    tokenized = list(map(stems.tokenized, docs))  # map holds no document past its call
+    # Each distinct run is judged and stemmed once: about 17k in 166k at 1000 report-like docs.
+    memo = _CodeMemo(StopwordList() if stops is None else stops)
+    coded = [(doc.doc_id, tuple(memo.kept(doc.text))) for doc in docs]
+    stems = [None, *memo.codes]  # code + 1 -> stem, as the sweep counts them
+    tokenized = [TokenizedDocument(i, tuple(map(stems.__getitem__, c))) for i, c in coded]
     return tokenized, [t.doc_id for t in tokenized if t.is_empty]
 
 
@@ -288,7 +300,8 @@ def _read_jsonl(path: Path) -> Iterator[RawDocument]:
             if not raw.strip():
                 continue
             try:
-                record = STRICT_JSON.decode(raw.decode("utf-8"))
+                line = raw.decode("utf-8")  # before the BOM goes, so error bytes count it
+                record = STRICT_JSON.decode(line.removeprefix("\ufeff") if lineno == 1 else line)
             except UnicodeDecodeError as exc:
                 raise CorpusError(f"{where}: not valid UTF-8 at byte {exc.start}") from None
             except (ValueError, RecursionError) as exc:  # also huge integers, deep nesting

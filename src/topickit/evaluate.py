@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .vectorize import DocTermMatrix, Vocabulary, _indicator
+from .vectorize import DocTermMatrix, Vocabulary, _indicator, check_setting
 
 __all__ = [
     "SilhouetteResult",
@@ -99,6 +99,7 @@ def _ranked_terms(weights_row: np.ndarray, vocab: Vocabulary, n: int) -> list[st
 
 def top_keywords(topic_term, vocab: Vocabulary, n: int = 30) -> list[list[str]]:
     """The n highest-weight terms of each topic, ties lexicographic."""
+    check_setting("n", n, 1)
     w = np.asarray(topic_term, dtype=np.float64)
     if n > w.shape[1] or n > len(vocab):
         raise ValueError(f"n={n} exceeds vocabulary size {len(vocab)}")
@@ -116,6 +117,7 @@ def group_frequent_terms(
     """
     if tf.weighting != "tf":
         raise ValueError(f"group term counting requires TF weights, got {tf.weighting!r}")
+    check_setting("n", n, 1)
     n_docs, n_terms = tf.shape
     if n > n_terms:
         raise ValueError(f"n={n} exceeds vocabulary size {n_terms}")
@@ -220,6 +222,7 @@ def build_report(
 
     A ``company_factor`` is scored by its own silhouette and needs ``company_ids``.
     """
+    check_setting("n_keywords", n_keywords, 1)
     notices: list[str] = []
     labels = argmax_assign(doc_topic, tf.doc_ids)
     sil_docs = _group_silhouette(doc_topic, labels, k, "", "documents", notices)

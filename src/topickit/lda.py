@@ -60,6 +60,7 @@ class LdaConfig:
         check_k(self.k)
         check_setting("max_iter", self.max_iter, 1)
         check_setting("tol", self.tol, 0, integer=False)
+        check_setting("seed", self.seed, 0)
 
 
 @dataclass

@@ -83,6 +83,7 @@ def fit_ntf(x, k: int, max_sweeps: int = 200, tol: float = 1e-6, seed: int = 0) 
     """
     check_setting("max_sweeps", max_sweeps, 1)
     check_setting("tol", tol, 0, integer=False)
+    check_setting("seed", seed, 0)
     x = _as_tensor(x)
     shape, mat, pair_doc, pair_comp = x.shape, x.pairs, x.pair_doc, x.pair_company
     if any(d == 0 for d in shape):

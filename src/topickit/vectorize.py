@@ -7,13 +7,13 @@ From a corpus file, or from a list of tokenized documents, this module builds
 * a sparse document x company x term tensor whose company-axis sum
   reproduces the TF matrix exactly.
 
-``prepare_corpus``, a sweep's route from a corpus path to all three, codes each
-run of a text with one memo lookup (``_CodeMemo``, ``preprocess``'s rule) into
-one int32 array; ``count_terms``, the token route, codes tokenized documents'
-stems in the same first-sight order.  Both count the codes once (``_count``),
-into one CSR matrix from which the vocabulary (two ``bincount``s) and TF come
-(``_ranked``).  TF-IDF and the tensor derive from one TF count; the tensor's
-pair rows are that TF matrix, shared, so no caller may write into either.
+``prepare_corpus``, a sweep's route from a corpus path to all three, codes each run
+of a text into one int32 array by one lookup in the one stem memo, whose codes
+``preprocess_corpus`` maps back to stems (``corpus._CodeMemo``); ``count_terms``,
+the token route, codes stems in the same first-sight order.  Both count the codes
+once (``_count``), into one CSR matrix from which the vocabulary (two ``bincount``s)
+and TF come (``_ranked``).  TF-IDF and the tensor derive from one TF count; the
+tensor's pair rows are that TF matrix, shared, so no caller may write into either.
 
 It also holds the input checks that the run configuration and the solvers
 share, and the one rule by which all three solvers stop or fail.
@@ -40,9 +40,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import (CorpusError, RawDocument, StopwordList, TokenizedDocument, _read_corpus,
-                     _runs, _TokenMemo)
-from .porter import stem
+from .corpus import (CorpusError, RawDocument, StopwordList, TokenizedDocument, _CodeMemo, _Codes,
+                     _read_corpus)
 
 __all__ = [
     "Vocabulary",
@@ -224,25 +223,6 @@ def _ranked(counts: sp.csr_matrix, stems: list[str], min_df: int, doc_ids: tuple
     return Vocabulary(dict(zip(terms, range(len(terms)))), terms, dfreq[kept]), tf
 
 
-class _Codes(dict):
-    """Stem -> integer code; an unseen stem gets the next code, so codes follow first sight."""
-
-    def __missing__(self, stem: str) -> int:
-        code = self[stem] = len(self)
-        return code
-
-
-class _CodeMemo(_TokenMemo):
-    """Run -> its stem's code in ``codes`` plus one, so no kept run is falsy; None if dropped."""
-
-    def __init__(self, stops: StopwordList):
-        super().__init__(dict.fromkeys(stops.base | stops.extra))
-        self.codes = _Codes()
-
-    def _keep(self, token: str) -> int:
-        return self.codes[stem(token)] + 1
-
-
 def _count_tokens(docs: list[TokenizedDocument], codes: _Codes) -> sp.csr_matrix:
     """``_count`` of each document's tokens, by their code in ``codes``."""
     indptr = np.cumsum([0, *map(len, (d.tokens for d in docs))])
@@ -336,7 +316,7 @@ def prepare_corpus(path: str | Path, stops: StopwordList | None = None, min_df: 
         n_loaded += 1
         if keep is None or keep(doc):
             company_map[doc.doc_id] = doc.company_id
-            cols.extend(filter(None, map(memo.__getitem__, _runs(doc.text))))
+            cols.extend(memo.kept(doc.text))
             indptr.append(len(cols))
     has_token = np.diff(indptr) > 0
     empty_ids = [doc_id for doc_id, ok in zip(company_map, has_token) if not ok]

@@ -301,6 +301,15 @@ class TestSelectBest:
         with pytest.raises(ValueError, match="no summaries"):
             select_best([])
 
+    @pytest.mark.parametrize("margin, want", [(-1, ">= 0"), (float("nan"), "a finite number"),
+                                              (True, "a finite number")])
+    def test_bad_margin_rejected(self, margin, want):
+        # A negative or NaN margin would leave no candidate K; True would act as 1.
+        summaries = [{"method": "lda", "k": k, "silhouette_documents": 0.5,
+                      "keyword_match_mean": 0.7} for k in (2, 3)]
+        with pytest.raises(ValueError, match=f"^margin must be {want}, got {margin}$"):
+            select_best(summaries, margin=margin)
+
     def test_method_without_silhouettes_is_not_picked(self):
         summaries = [
             {"method": "lda", "k": k, "silhouette_documents": None, "keyword_match_mean": 0.8}

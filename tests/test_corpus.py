@@ -22,6 +22,7 @@ from topickit.corpus import (
     stem,
     tokenize,
 )
+from topickit.vectorize import prepare_corpus
 
 
 def tokenize_oracle(text):
@@ -261,7 +262,7 @@ class TestPreprocess:
         kept = sum(map(len, expected))  # some tokens kept, some stop-words dropped
         assert 500 < kept < sum(len(tokenize_oracle(doc.text)) for doc in docs)
 
-    def test_stem_called_once_per_distinct_kept_token(self, monkeypatch):
+    def test_stem_called_once_per_distinct_kept_token(self, monkeypatch, tmp_path):
         calls = []
         monkeypatch.setattr("topickit.corpus.stem", lambda token: calls.append(token) or token)
         docs = [RawDocument("r1", "c1", "Drilling drilling DRILLING, the coal 2nd x2 The"),
@@ -270,6 +271,14 @@ class TestPreprocess:
         tokenized, _ = preprocess_corpus(docs)
         assert sorted(calls) == sorted({"drilling", "coal", "seam", "seams", "café"})
         assert tokenized[0].tokens == ("drilling",) * 3 + ("coal",)
+        # The sweep's route, on the same records read from a file, stems the same runs once.
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(json.dumps({"doc_id": d.doc_id, "company_id": d.company_id,
+                                            "text": d.text}) + "\n" for d in docs))
+        calls.clear()
+        prepared = prepare_corpus(path)
+        assert sorted(calls) == sorted({"drilling", "coal", "seam", "seams", "café"})
+        assert prepared.vocab.index_to_term[0] == "drilling"
 
     def test_mixed_case_stopword_dropped(self):
         doc = RawDocument("r1", "c1", "The coal THE seam tHe")
@@ -279,12 +288,12 @@ class TestPreprocess:
     def test_non_ascii_runs_reach_the_memo_lowercased(self, monkeypatch):
         memos = []
 
-        class Recording(corpus._StemMemo):
+        class Recording(corpus._CodeMemo):
             def __init__(self, *args):
                 super().__init__(*args)
                 memos.append(self)
 
-        monkeypatch.setattr(corpus, "_StemMemo", Recording)
+        monkeypatch.setattr(corpus, "_CodeMemo", Recording)
         docs = [RawDocument("r1", "c1", "İSTANBUL Istanbul ΟΔΟΣ οδος ΣΑΣ Σας, 25 °C"),
                 RawDocument("r2", "c1", "STRASSE Straße straße Ⅻvalue ⅫVALUE İİİ"),
                 RawDocument("r3", "c1", "Drilling DRILLING drilling – THE Seams")]
@@ -322,6 +331,23 @@ class TestLoadJsonl:
         assert [d.doc_id for d in docs] == ["r1", "r2"]
         assert docs[1].year == 2015
         assert docs[1].report_type == "annual"
+
+    def test_leading_byte_order_mark_dropped(self, tmp_path):
+        # Some editors start a UTF-8 file with a BOM; only line 1 may carry one.
+        lines = [json.dumps({"doc_id": f"r{i}", "company_id": "c1", "text": f"coal seam {i}"})
+                 for i in (1, 2)]
+        path, bom = tmp_path / "corpus.jsonl", "\ufeff"
+        path.write_text(lines[0] + "\n" + lines[1] + "\n", encoding="utf-8")
+        plain = load_corpus(path)
+        path.write_text(bom + lines[0] + "\n" + lines[1] + "\n", encoding="utf-8")
+        assert load_corpus(path) == plain
+        path.write_text(lines[0] + "\n" + bom + lines[1] + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=r"^corpus\.jsonl:2: malformed JSON"):
+            load_corpus(path)
+        # An invalid byte's offset counts the three bytes of the BOM before it.
+        path.write_bytes(bom.encode() + b'{"doc\xff_id": "r1"}\n')
+        with pytest.raises(CorpusError, match=r"^corpus\.jsonl:1: not valid UTF-8 at byte 8$"):
+            load_corpus(path)
 
     def test_duplicate_doc_id(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

@@ -364,7 +364,30 @@ def test_bad_arguments_rejected(call, message):
         call(tf_matrix(DOCS, vocab), vocab)
 
 
+@pytest.mark.parametrize("call, message", [
+    # A negative count would slice off the last terms, and 0 would empty every group.
+    (lambda tf, vocab: top_keywords(np.ones((2, 4)), vocab, n=-1), "n must be >= 1, got -1"),
+    (lambda tf, vocab: top_keywords(np.ones((2, 4)), vocab, n=0), "n must be >= 1, got 0"),
+    (lambda tf, vocab: group_frequent_terms(tf, np.array([0, 1, 1]), 2, vocab, n=-2),
+     "n must be >= 1, got -2"),
+    (lambda tf, vocab: group_frequent_terms(tf, np.array([0, 1, 1]), 2, vocab, n=True),
+     "n must be an integer, got True"),
+])
+def test_bad_term_count_rejected(call, message):
+    vocab = build_vocabulary(DOCS)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(tf_matrix(DOCS, vocab), vocab)
+
+
 class TestBuildReport:
+    @pytest.mark.parametrize("n, want", [(-3, ">= 1"), (0, ">= 1"), (2.5, "an integer")])
+    def test_bad_keyword_count_rejected(self, n, want):
+        # -3 would keep all but 3 terms; 0 would report every group as empty.
+        vocab = build_vocabulary(DOCS)
+        with pytest.raises(ValueError, match=f"^n_keywords must be {want}, got {n}$"):
+            build_report("nmf", 2, np.eye(3, 2), np.ones((2, 4)), tf_matrix(DOCS, vocab), vocab,
+                         ["c0", "c0", "c1"], n_keywords=n)
+
     def test_report_reconciles(self, rng):
         docs, labels = two_topic_corpus(rng, docs_per_topic=6, doc_len=20)
         vocab = build_vocabulary(docs)

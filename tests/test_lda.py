@@ -565,6 +565,13 @@ class TestErrors:
         with pytest.raises(ValueError):
             LdaConfig(k=0)
 
+    @pytest.mark.parametrize("seed, want", [(None, "an integer"), (True, "an integer"),
+                                            (-1, ">= 0"), (1.5, "an integer")])
+    def test_bad_seed_rejected(self, seed, want):
+        # None would draw from the OS, so two fits would differ; True would run as seed 1.
+        with pytest.raises(ValueError, match=f"^seed must be {want}, got {seed}$"):
+            LdaConfig(k=2, seed=seed)
+
     @pytest.mark.parametrize("docs, terms", [(11, 20), (12, 21)])
     def test_elbo_shape_mismatch_rejected(self, rng, docs, terms):
         tf = random_tf(rng, n_docs=12, n_terms=20)

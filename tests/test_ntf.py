@@ -190,6 +190,14 @@ class TestFit:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             fit_ntf(tensor, 2, **settings)
 
+    @pytest.mark.parametrize("seed, want", [(None, "an integer"), (True, "an integer"),
+                                            (-1, ">= 0"), (1.5, "an integer")])
+    def test_bad_seed_rejected(self, rng, seed, want):
+        # None would draw from the OS, so two fits would differ; True would run as seed 1.
+        tensor = random_sparse_tensor(rng, (5, 3, 6), nnz=20)
+        with pytest.raises(ValueError, match=f"^seed must be {want}, got {seed}$"):
+            fit_ntf(tensor, 2, seed=seed)
+
     def test_sparse_scaling_budget(self, rng):
         tensor = random_sparse_tensor(rng, (500, 50, 2000), nnz=10_000)
         start = time.perf_counter()
