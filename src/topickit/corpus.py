@@ -297,13 +297,14 @@ def _read_jsonl(path: Path) -> Iterator[RawDocument]:
     with open(path, "rb") as fh:  # JSON Lines: records end at b"\n"
         for lineno, raw in enumerate(fh, start=1):
             where = f"{path.name}:{lineno}"
-            if not raw.strip():
+            body = raw.removeprefix(b"\xef\xbb\xbf") if lineno == 1 else raw
+            if not body.strip():  # a line holding only a BOM is blank too
                 continue
             try:
-                line = raw.decode("utf-8")  # before the BOM goes, so error bytes count it
-                record = STRICT_JSON.decode(line.removeprefix("\ufeff") if lineno == 1 else line)
-            except UnicodeDecodeError as exc:
-                raise CorpusError(f"{where}: not valid UTF-8 at byte {exc.start}") from None
+                record = STRICT_JSON.decode(body.decode("utf-8"))
+            except UnicodeDecodeError as exc:  # the offset counts a dropped BOM's bytes
+                raise CorpusError(f"{where}: not valid UTF-8 at byte "
+                                  f"{exc.start + len(raw) - len(body)}") from None
             except (ValueError, RecursionError) as exc:  # also huge integers, deep nesting
                 raise CorpusError(f"{where}: malformed JSON ({getattr(exc, 'msg', exc)})") from None
             if not isinstance(record, dict):

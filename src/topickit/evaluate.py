@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .vectorize import DocTermMatrix, Vocabulary, _indicator, check_setting
 
@@ -58,9 +57,13 @@ def silhouette(points, labels) -> SilhouetteResult:
     itself), ``b`` the smallest mean distance to any other cluster.
     Samples in singleton clusters score 0, and the mean runs over all
     samples.  Requires at least two samples and two distinct labels.
-    Distances are computed one block of rows at a time, so at most
-    ``_BLOCK_FLOATS`` of them exist at once, and summed per cluster in an
-    order that depends on neither the block nor the BLAS.
+    Distances are computed one block of rows at a time by ``_distances``,
+    which adds the squared differences one dimension at a time into a
+    reused buffer, as scipy's ``cdist`` sums them, so the bits are its bits.
+    The buffer and one array of squares of the same size keep at most
+    ``max(_BLOCK_FLOATS, 2 n)`` floats live.  Each block's distances are
+    summed per cluster in an order that depends on neither the block nor
+    the BLAS.
     """
     label_arr = np.asarray(labels)
     pts = np.asarray(points, dtype=np.float64)
@@ -74,13 +77,15 @@ def silhouette(points, labels) -> SilhouetteResult:
         raise ValueError("silhouette is undefined for a single cluster")
 
     rows = np.arange(n)
-    by_label = pts[np.argsort(own, kind="stable")]  # each cluster's points are one run
+    by_label = pts[np.argsort(own, kind="stable")].T.copy()  # one run per cluster, by dimension
     starts = np.cumsum(counts) - counts
-    step = max(1, _BLOCK_FLOATS // n)
+    step = max(1, _BLOCK_FLOATS // (2 * n))
+    dist, squares = np.empty((step, n)), np.empty((step, n))  # reused by every block
     cluster_sums = np.empty((n, len(uniq)))  # (n, n_clusters) distance sums
     for start in range(0, n, step):
-        block = cdist(pts[start:start + step], by_label)
-        cluster_sums[start:start + step] = np.add.reduceat(block, starts, axis=1)
+        block = pts[start:start + step]
+        rows_dist = _distances(block, by_label, dist[:len(block)], squares[:len(block)])
+        cluster_sums[start:start + step] = np.add.reduceat(rows_dist, starts, axis=1)
     own_counts = counts[own]
 
     a = cluster_sums[rows, own] / np.maximum(own_counts - 1, 1)
@@ -91,6 +96,20 @@ def silhouette(points, labels) -> SilhouetteResult:
     scored = (own_counts > 1) & (denom > 0)  # singleton clusters score 0
     per_sample = np.divide(b - a, denom, out=np.zeros(n), where=scored)
     return SilhouetteResult(mean=float(per_sample.mean()), per_sample=per_sample)
+
+
+def _distances(block: np.ndarray, points_t: np.ndarray, out: np.ndarray,
+               squares: np.ndarray) -> np.ndarray:
+    """The Euclidean distances from each row of ``block`` to each column of ``points_t``,
+    into ``out``: squared differences added one dimension at a time, then the square
+    root, the order scipy's ``cdist`` sums in, so the bits are its bits."""
+    np.subtract(block[:, :1], points_t[0], out=out)
+    np.multiply(out, out, out=out)
+    for dim in range(1, len(points_t)):
+        np.subtract(block[:, dim:dim + 1], points_t[dim], out=squares)
+        np.multiply(squares, squares, out=squares)
+        out += squares
+    return np.sqrt(out, out=out)
 
 
 def _ranked_terms(weights_row: np.ndarray, vocab: Vocabulary, n: int) -> list[str]:

@@ -12,9 +12,11 @@ the denominators and a floor under the NNDSVD zeros keep the updates from
 locking entries at exact zero.
 
 No D x V array is formed from a sparse input.  NNDSVD takes the K leading
-singular triplets from a truncated sparse SVD (``scipy.sparse.linalg.svds``
-from a fixed start vector, so the output is deterministic), and the
-objective comes from K x K Gramians,
+singular triplets from a restarted Golub-Kahan-Lanczos bidiagonalisation
+(``_leading_svd``): it holds w = min(max(2K + 1, 20), min(D, V)) basis
+vectors per side, w (D + V) floats (ARPACK's default ``ncv``), plus one
+residual vector, and starts from a fixed vector, so the output is
+deterministic.  The objective comes from K x K Gramians,
 
     ||X - W H||^2 = ||X||^2 - 2 <W^T X, H> + <W^T W, H H^T>,
 
@@ -29,7 +31,6 @@ from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, svds
 
 from .vectorize import DocTermMatrix, check_k, check_nonnegative, check_setting, settled
 
@@ -38,6 +39,12 @@ __all__ = ["NmfModel", "nndsvd_init", "nmf_objective", "fit_nmf"]
 # Floor for update denominators and for NNDSVD's structural zeros;
 # multiplicative updates cannot move an entry off exact zero.
 _EPS = 1e-12
+
+# The Lanczos stops once every wanted Ritz triplet's residual is at most
+# _LANCZOS_TOL of the largest Ritz value, and fails after _MAX_RESTARTS restarts.
+_LANCZOS_TOL = 1e-14
+_MAX_RESTARTS = 1000
+_ROTATE_COLUMNS = 4096  # a restart's temporary holds keep x this many floats
 
 
 @dataclass
@@ -91,15 +98,13 @@ def nndsvd_init(x, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     try:
         if k < min(n_rows, n_cols):
-            # A fixed start vector: ARPACK's own draws from state that survives calls.
-            v0 = np.random.default_rng(0).uniform(size=min(n_rows, n_cols))
-            u, s, vt = svds(mat, k=k, v0=v0)
+            u, s, vt = _leading_svd(mat, k)
         else:
-            # svds needs k < min(D, V).  Here the dense copy holds
+            # The Lanczos needs k < min(D, V).  Here the dense copy holds
             # min(D, V) * max(D, V) = K * max(D, V) floats, inside O((D + V) K).
             dense = mat.toarray() if sp.issparse(mat) else mat
             u, s, vt = np.linalg.svd(dense, full_matrices=False)
-    except (np.linalg.LinAlgError, ArpackError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise ValueError(f"SVD failed on degenerate input: {exc}") from exc
     order = np.argsort(s)[::-1]
     u, s, vt = u[:, order], s[order], vt[order, :]
@@ -130,6 +135,98 @@ def nndsvd_init(x, k: int) -> tuple[np.ndarray, np.ndarray]:
             h[j, :] = scale * sect_v / np.linalg.norm(sect_v)
 
     return np.maximum(w, _EPS), np.maximum(h, _EPS)
+
+
+def _leading_svd(mat, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k leading singular triplets ``(u, s, vt)`` of ``mat``, s descending, k < min(D, V).
+
+    Golub-Kahan-Lanczos bidiagonalisation ``A P = Q B`` with full
+    reorthogonalisation and thick restarts (Baglama & Reichel 2005).  A pass
+    extends the bases P (the smaller side) and Q to w vectors each; the SVD
+    of the small upper-triangular B gives the Ritz triplets, whose
+    residuals are ``beta * |last row of B's left vectors|``.  Until the k
+    wanted residuals are at most ``_LANCZOS_TOL`` times the largest Ritz
+    value, a restart keeps the leading ``keep`` triplets and continues from
+    the residual direction.
+    P starts from a fixed uniform vector, and a breakdown continues from a
+    vector drawn from the same generator, so the output is deterministic.
+    """
+    a = mat if mat.shape[0] >= mat.shape[1] else mat.T
+    a_t = a.T  # made once: building a transposed view costs as much as a small product
+    n_big, n_small = a.shape
+    width = min(max(2 * k + 1, 20), n_small)  # ARPACK's ncv
+    keep = k + (width - k) // 2
+    rng = np.random.default_rng(0)
+    p, q, b = np.empty((width, n_small)), np.empty((width, n_big)), np.zeros((width, width))
+    start = rng.uniform(size=n_small)
+    p[0] = start / np.sqrt(_dot(start, start))
+    kept = 0
+    for _ in range(_MAX_RESTARTS + 1):
+        for j in range(kept, width):
+            x = a @ p[j]
+            if j > kept:
+                x -= b[j - 1, j] * q[j - 1]
+            elif kept:  # the first step after a restart couples to every kept vector
+                x -= _combine(b[:kept, kept], q[:kept])
+            b[j, j], q[j] = _extend(x, q[:j], b.max(), rng)
+            y = a_t @ q[j]
+            y -= b[j, j] * p[j]
+            beta, resid = _extend(y, p[:j + 1], b.max(), rng)
+            if j + 1 < width:
+                b[j, j + 1], p[j + 1] = beta, resid
+        ub, sb, vbt = np.linalg.svd(b)
+        if np.all(beta * np.abs(ub[-1, :k]) <= _LANCZOS_TOL * sb[0]):
+            u, vt = _combine(ub[:, :k].T, q), _combine(vbt[:k], p)
+            return (u.T, sb[:k], vt) if a is mat else (vt.T, sb[:k], u)
+        kept = keep
+        _rotate(q, ub[:, :kept].T)
+        _rotate(p, vbt[:kept])
+        p[kept] = resid
+        b[:] = 0.0
+        b[:kept, :kept] = np.diag(sb[:kept])
+        b[:kept, kept] = beta * ub[-1, :kept]
+    raise np.linalg.LinAlgError(f"Lanczos did not converge in {_MAX_RESTARTS} restarts")
+
+
+# Products with the bases are einsum loops, not BLAS calls, so with a sparse
+# input the bits do not depend on the BLAS thread count.
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.einsum("i,i->", x, y))
+
+
+def _combine(coef: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``coef @ basis`` for the row vectors of ``basis``."""
+    return np.einsum("...i,ij->...j", coef, basis)
+
+
+def _rotate(basis: np.ndarray, coef: np.ndarray) -> None:
+    """``basis[:len(coef)] = coef @ basis`` in place, a block of columns at a time."""
+    for start in range(0, basis.shape[1], _ROTATE_COLUMNS):
+        cols = basis[:, start:start + _ROTATE_COLUMNS]
+        cols[:len(coef)] = _combine(coef, cols)
+
+
+def _extend(x: np.ndarray, basis: np.ndarray, scale: float, rng) -> tuple[float, np.ndarray]:
+    """The norm and direction of ``x`` orthogonalised against the rows of ``basis``.
+
+    A remainder at round-off level of ``scale`` is a breakdown: the norm is
+    0 and the direction a fresh random one orthogonal to ``basis`` (zeros
+    once ``basis`` spans the space).
+    """
+    norm = _orthogonalise(x, basis)
+    if norm > 0.0 and norm > np.finfo(np.float64).eps * scale:
+        return norm, x / norm
+    if len(basis) >= len(x):
+        return 0.0, np.zeros_like(x)
+    fresh = rng.uniform(-1.0, 1.0, size=len(x))
+    return 0.0, fresh / _orthogonalise(fresh, basis)
+
+
+def _orthogonalise(x: np.ndarray, basis: np.ndarray) -> float:
+    """Classical Gram-Schmidt, twice, against the rows of ``basis``, in place; the new norm."""
+    for _ in range(2):
+        x -= _combine(np.einsum("ij,j->i", basis, x), basis)
+    return np.sqrt(_dot(x, x))
 
 
 def nmf_objective(x, doc_topic: np.ndarray, topic_term: np.ndarray) -> float:

@@ -261,9 +261,11 @@ def tfidf_matrix(docs: list[TokenizedDocument], vocab: Vocabulary) -> DocTermMat
 
 
 def _tfidf(tf: DocTermMatrix, vocab: Vocabulary) -> DocTermMatrix:
-    """TF-IDF on ``tf``'s own ``indices`` and ``indptr``: one new data array, scaled in place."""
+    """TF-IDF on ``tf``'s own ``indices`` and ``indptr``: one new data array, the idf
+    gathered into it and scaled in place."""
     idf = np.log((1.0 + tf.shape[0]) / (1.0 + vocab.doc_freq.astype(np.float64))) + 1.0
-    data = idf[tf.values.indices] * tf.values.data
+    data = idf[tf.values.indices]
+    data *= tf.values.data
     lengths = np.diff(tf.values.indptr)
     rows = np.flatnonzero(lengths)
     norms = np.zeros(tf.shape[0])  # summed by np.add.reduceat, as scipy's norm(axis=1) sums

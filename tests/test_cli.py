@@ -567,6 +567,36 @@ class TestRunExperiment:
         assert importers == ["cli.py"]
 
 
+def test_a_sweep_loads_no_dense_linear_algebra(tmp_path):
+    # A sweep needs numpy, scipy.sparse and scipy.special only.  Older scipy releases
+    # load scipy.linalg from scipy.special themselves, so a module counts here only
+    # when importing topickit or running the sweep brings it in.
+    corpus = tmp_path / "planted.jsonl"
+    write_planted_corpus(corpus)
+    script = f"""
+import sys
+import numpy, scipy.sparse, scipy.special
+before = set(sys.modules)
+def loaded():
+    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.spatial")
+    return sorted(m for m in set(sys.modules) - before
+                  if any(m == h or m.startswith(h + ".") for h in heavy))
+import topickit.cli
+print(loaded())
+topickit.cli.run_experiment(topickit.cli.RunConfig(
+    corpus_path={str(corpus)!r}, methods=("lda", "nmf", "ntf"), k_values=(2, 3, 4, 5, 6),
+    out_dir={str(tmp_path / "out")!r}))
+print(loaded())
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        str(Path(topickit.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]
+    assert (tmp_path / "out" / "nmf" / "k6" / "report.json").is_file()
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path, capsys):
         corpus = write_mini_corpus(tmp_path / "corpus.jsonl")

@@ -349,6 +349,15 @@ class TestLoadJsonl:
         with pytest.raises(CorpusError, match=r"^corpus\.jsonl:1: not valid UTF-8 at byte 8$"):
             load_corpus(path)
 
+    def test_a_line_holding_only_a_byte_order_mark_is_blank(self, tmp_path):
+        # Blankness is judged after the BOM is dropped, so both files load the same record.
+        record = json.dumps({"doc_id": "r1", "company_id": "c1", "text": "coal seam"})
+        plain, bom = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+        plain.write_text("\n" + record + "\n", encoding="utf-8")
+        bom.write_text("\ufeff\n" + record + "\n", encoding="utf-8")
+        assert load_corpus(bom) == load_corpus(plain)
+        assert [d.doc_id for d in load_corpus(bom)] == ["r1"]
+
     def test_duplicate_doc_id(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         record = json.dumps({"doc_id": "r1", "company_id": "c1", "text": "coal"})

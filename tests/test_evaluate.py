@@ -146,14 +146,14 @@ class TestSilhouette:
         labels[7] = 9  # a singleton cluster
         whole = silhouette(points, labels)
 
-        shapes, real_cdist = [], evaluate.cdist
+        shapes, real_distances = [], evaluate._distances
 
-        def recording_cdist(a, b):
-            shapes.append((len(a), len(b)))
-            return real_cdist(a, b)
+        def recording_distances(block, points_t, out, squares):
+            shapes.append(out.shape)
+            return real_distances(block, points_t, out, squares)
 
         monkeypatch.setattr(evaluate, "_BLOCK_FLOATS", 16 * 50)
-        monkeypatch.setattr(evaluate, "cdist", recording_cdist)
+        monkeypatch.setattr(evaluate, "_distances", recording_distances)
         blocked = silhouette(points, labels)
         assert len(shapes) >= 3
         assert all(rows * cols <= evaluate._BLOCK_FLOATS for rows, cols in shapes)
@@ -175,6 +175,29 @@ class TestSilhouette:
             results.append(silhouette(points, labels).per_sample)
         assert all(np.array_equal(result, results[0]) for result in results)
         np.testing.assert_allclose(results[0], silhouette_row_oracle(points, labels), atol=1e-9)
+
+
+    @pytest.mark.parametrize("block", [2**7, 2**11, 2**16])
+    def test_distances_are_scipys_cdist_bit_for_bit(self, monkeypatch, block):
+        # The kernel sums the squared differences in cdist's order, so every silhouette
+        # (and every LDA and NTF artifact) keeps the bits it had with cdist.
+        cdist = pytest.importorskip("scipy.spatial.distance").cdist
+        real_distances, seen = evaluate._distances, []
+
+        def checked_distances(rows, points_t, out, squares):
+            got = real_distances(rows, points_t, out, squares)
+            assert np.array_equal(got, cdist(rows, points_t.T))
+            seen.append(len(rows))
+            return got
+
+        monkeypatch.setattr(evaluate, "_BLOCK_FLOATS", block)
+        monkeypatch.setattr(evaluate, "_distances", checked_distances)
+        rng = np.random.default_rng(block)
+        for k in range(1, 13):
+            points = rng.dirichlet(np.full(k, 0.3), 120) if k > 1 else rng.random((120, 1))
+            points[:3] *= 1e3  # far points: large sums beside small ones
+            silhouette(points, np.argmax(points, axis=1) if k > 1 else points[:, 0] > 0.5)
+        assert sum(seen) == 12 * 120 and len(seen) >= 12
 
 
 class TestTopKeywords:

@@ -3,7 +3,6 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence
 
 from topickit import nmf
 from topickit.corpus import load_corpus, preprocess_corpus
@@ -161,13 +160,75 @@ class TestNndsvdInit:
         model = fit_nmf(x, 4, max_iter=20)
         assert len(model.objective_trace) > 1
 
-    def test_arpack_failure_is_a_value_error(self, rng, monkeypatch):
-        def failing_svds(*args, **kwargs):
-            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+    def test_lanczos_restart_cap_is_a_value_error(self, rng, monkeypatch):
+        # 60 x 50 at K=3 keeps 20 vectors per side: one pass does not converge
+        x = np.abs(rng.standard_normal((60, 50)))
+        monkeypatch.setattr(nmf, "_MAX_RESTARTS", 0)
+        with pytest.raises(ValueError, match="SVD failed .*did not converge in 0 restarts"):
+            nndsvd_init(x, 3)
+        monkeypatch.undo()
+        assert_matches_oracle(x, 3)
 
-        monkeypatch.setattr(nmf, "svds", failing_svds)
-        with pytest.raises(ValueError, match="SVD failed"):
-            nndsvd_init(np.abs(rng.standard_normal((8, 6))), 3)
+
+def assert_leading_triplets(x, k, restarts=False):
+    """``_leading_svd`` against the dense SVD, bit-identical on a second call; with
+    ``restarts`` set, also that a pass without a restart does not converge."""
+    if restarts:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nmf, "_MAX_RESTARTS", 0)
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                nmf._leading_svd(x, k)
+    u, s, vt = nmf._leading_svd(x, k)
+    assert all(np.array_equal(a, b) for a, b in zip((u, s, vt), nmf._leading_svd(x, k)))
+    dense = x.toarray() if sp.issparse(x) else x
+    u0, s0, vt0 = np.linalg.svd(dense, full_matrices=False)
+    assert u.shape == (x.shape[0], k) and s.shape == (k,) and vt.shape == (k, x.shape[1])
+    tol = 1e-12 * s0[0]
+    np.testing.assert_allclose(s, s0[:k], rtol=0, atol=tol)
+    np.testing.assert_allclose(u.T @ u, np.eye(k), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vt @ vt.T, np.eye(k), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dense @ vt.T, u * s, rtol=0, atol=tol)
+    np.testing.assert_allclose(dense.T @ u, vt.T * s, rtol=0, atol=tol)
+    gaps = np.abs(np.diff(s0[:k + 1]))
+    for j in range(k):  # a singular vector is unique up to sign when its value is apart
+        if s0[j] > tol and min(gaps[max(j - 1, 0):j + 1]) > 1e-3 * s0[0]:
+            sign = np.sign(u[:, j] @ u0[:, j])
+            np.testing.assert_allclose(sign * u[:, j], u0[:, j], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(sign * vt[j], vt0[j], rtol=0, atol=1e-9)
+
+
+class TestLeadingSvd:
+    def test_restarted_on_planted_tfidf(self, tmp_path):
+        path = tmp_path / "planted.jsonl"
+        write_planted_corpus(path, seed=PLANTED_SEED)
+        docs, _ = preprocess_corpus(load_corpus(path))
+        x = tfidf_matrix(docs, build_vocabulary(docs)).values
+        for k in range(5, 9):
+            assert_leading_triplets(x, k, restarts=True)
+
+    def test_restarted_on_a_clustered_spectrum(self, rng):
+        left = np.linalg.qr(rng.standard_normal((150, 80)))[0]
+        right = np.linalg.qr(rng.standard_normal((80, 80)))[0]
+        values = np.concatenate([5.0 - 1e-3 * np.arange(6), np.linspace(1.0, 0.01, 74)])
+        x = (left * values) @ right.T
+        assert_leading_triplets(x, 5, restarts=True)
+        assert_leading_triplets(sp.csr_matrix(x.T), 7, restarts=True)
+
+    def test_rank_deficient(self, rng):
+        x = np.abs(rng.standard_normal((30, 2))) @ np.abs(rng.standard_normal((2, 20)))
+        assert_leading_triplets(sp.csr_matrix(x), 5)
+        assert_leading_triplets(sp.csr_matrix(np.zeros((12, 9))), 2)
+
+    @pytest.mark.parametrize("shape", [(25, 60), (60, 25), (21, 21)])
+    def test_wide_tall_and_square_sparse(self, rng, shape):
+        x = np.where(rng.random(shape) < 0.3, rng.random(shape), 0.0)
+        for k in (1, 3, 9):
+            assert_leading_triplets(sp.csr_matrix(x), k)
+
+    def test_dense_input_and_full_width(self, rng):
+        x = np.abs(rng.standard_normal((40, 12)))
+        for k in (2, 5, 11):  # w = min(max(2k+1, 20), 12): one pass spans the small side
+            assert_leading_triplets(x, k)
 
 
 class TestObjective:
