@@ -25,6 +25,7 @@ import logging
 import numbers
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,6 @@ from . import __version__
 from .corpus import STRICT_JSON, CorpusError, StopwordList, has_lone_surrogate
 from .evaluate import build_report
 from .export import write_csv, write_factor_csv, write_json
-from .lda import LdaConfig, fit_lda
 from .nmf import fit_nmf
 from .ntf import fit_ntf
 from .vectorize import PreparedCorpus, check_k, check_setting, prepare_corpus
@@ -137,6 +137,10 @@ class RunConfig:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ConfigError(f"unknown method(s): {', '.join(map(str, unknown))}")
+        # Each method's solver loads here, before the corpus is read, and only for a run that
+        # fits it: a run without LDA never imports scipy.special.
+        for method in self.methods:
+            import_module(f".{method}", __package__)
         try:  # the library's own checks and wording, each failure one ConfigError
             for f in fields(self):
                 value, low = getattr(self, f.name), f.metadata["low"]
@@ -206,6 +210,8 @@ def _passes(doc, filters: dict) -> bool:
 def _fit_cell(method: str, k: int, bundle: PreparedCorpus, config: RunConfig):
     """Fit one model and return (doc_topic, topic_term, company block, updates, meta)."""
     if method == "lda":
+        from .lda import LdaConfig, fit_lda  # loaded by RunConfig
+
         model = fit_lda(bundle.tf, LdaConfig(k=k, seed=config.seed, **config.lda))
         return model.doc_topic, model.topic_term, None, len(model.elbo_trace), {
             "converged": model.converged, "trace": model.elbo_trace, "trace_name": "elbo",

@@ -19,6 +19,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -196,7 +197,7 @@ def preprocess_corpus(
 ) -> tuple[list[TokenizedDocument], list[str]]:
     """Preprocess every document in input order, taking each from ``docs`` once, so a
     generator's texts can be freed one by one as they are coded (``_CodeMemo``, the sweep's
-    memo); the codes then map back to stems.
+    memo) and mapped back to stems.
 
     Returns the tokenized documents (including empty ones) plus the ids of
     documents that became empty, which the caller reports (``prepare_corpus``
@@ -204,9 +205,12 @@ def preprocess_corpus(
     """
     # Each distinct run is judged and stemmed once: about 17k in 166k at 1000 report-like docs.
     memo = _CodeMemo(StopwordList() if stops is None else stops)
-    coded = [(doc.doc_id, tuple(memo.kept(doc.text))) for doc in docs]
-    stems = [None, *memo.codes]  # code + 1 -> stem, as the sweep counts them
-    tokenized = [TokenizedDocument(i, tuple(map(stems.__getitem__, c))) for i, c in coded]
+    stems, tokenized = [None], []  # code + 1 -> stem, as the sweep counts them
+    for doc in docs:
+        codes = list(memo.kept(doc.text))
+        added = [*islice(reversed(memo.codes), len(memo.codes) + 1 - len(stems))]  # newest keys
+        stems += reversed(added)
+        tokenized.append(TokenizedDocument(doc.doc_id, tuple(map(stems.__getitem__, codes))))
     return tokenized, [t.doc_id for t in tokenized if t.is_empty]
 
 

@@ -567,34 +567,96 @@ class TestRunExperiment:
         assert importers == ["cli.py"]
 
 
-def test_a_sweep_loads_no_dense_linear_algebra(tmp_path):
-    # A sweep needs numpy, scipy.sparse and scipy.special only.  Older scipy releases
-    # load scipy.linalg from scipy.special themselves, so a module counts here only
-    # when importing topickit or running the sweep brings it in.
-    corpus = tmp_path / "planted.jsonl"
-    write_planted_corpus(corpus)
-    script = f"""
-import sys
-import numpy, scipy.sparse, scipy.special
-before = set(sys.modules)
-def loaded():
-    heavy = ("scipy.linalg", "scipy.sparse.linalg", "scipy.spatial")
-    return sorted(m for m in set(sys.modules) - before
-                  if any(m == h or m.startswith(h + ".") for h in heavy))
-import topickit.cli
-print(loaded())
-topickit.cli.run_experiment(topickit.cli.RunConfig(
-    corpus_path={str(corpus)!r}, methods=("lda", "nmf", "ntf"), k_values=(2, 3, 4, 5, 6),
-    out_dir={str(tmp_path / "out")!r}))
-print(loaded())
-"""
+def _fresh_interpreter(script: str) -> list[str]:
+    """The lines ``script`` prints in a new Python process that imports this topickit."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         str(Path(topickit.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "[]"]
+    return done.stdout.splitlines()
+
+
+# Older scipy releases load scipy.linalg from scipy.special themselves, so a module counts
+# here only when importing topickit or running the sweep brings it in.
+_LOADED = """
+import sys
+before = set(sys.modules)
+def loaded(*names):
+    return sorted(m for m in set(sys.modules) - before
+                  if any(m == n or m.startswith(n + ".") for n in names))
+"""
+_DENSE_LINEAR_ALGEBRA = ("scipy.linalg", "scipy.sparse.linalg", "scipy.spatial")
+
+
+def test_a_sweep_loads_no_dense_linear_algebra(tmp_path):
+    # A sweep of all three methods needs numpy, scipy.sparse and, for LDA, scipy.special.
+    corpus = tmp_path / "planted.jsonl"
+    write_planted_corpus(corpus)
+    script = f"""
+import numpy, scipy.sparse, scipy.special
+{_LOADED}
+import topickit.cli
+print(loaded(*{_DENSE_LINEAR_ALGEBRA}))
+topickit.cli.run_experiment(topickit.cli.RunConfig(
+    corpus_path={str(corpus)!r}, methods=("lda", "nmf", "ntf"), k_values=(2, 3, 4, 5, 6),
+    out_dir={str(tmp_path / "out")!r}))
+print(loaded(*{_DENSE_LINEAR_ALGEBRA}))
+"""
+    assert _fresh_interpreter(script) == ["[]", "[]"]
     assert (tmp_path / "out" / "nmf" / "k6" / "report.json").is_file()
+
+
+def test_a_sweep_without_lda_loads_no_scipy_special(tmp_path):
+    corpus = tmp_path / "planted.jsonl"
+    write_planted_corpus(corpus)
+    script = f"""
+import numpy, scipy.sparse
+{_LOADED}
+import topickit, topickit.cli
+print(loaded("scipy.special", "topickit.lda"))
+topickit.cli.run_experiment(topickit.cli.RunConfig(
+    corpus_path={str(corpus)!r}, methods="nmf,ntf", k_values=(2, 3, 4, 5, 6),
+    out_dir={str(tmp_path / "out")!r}))
+print(loaded("scipy.special", "topickit.lda", *{_DENSE_LINEAR_ALGEBRA}))
+"""
+    assert _fresh_interpreter(script) == ["[]", "[]"]
+    assert (tmp_path / "out" / "ntf" / "k6" / "report.json").is_file()
+
+
+def test_an_lda_config_loads_scipy_special_before_the_run():
+    # Loaded while the run is configured, before the corpus is read, so no fit's time holds it.
+    script = """
+import sys
+import topickit.cli
+print("topickit.lda" in sys.modules)
+topickit.cli.RunConfig(corpus_path="never-read.jsonl", methods="nmf,lda")
+print("topickit.lda" in sys.modules, "scipy.special" in sys.modules)
+"""
+    assert _fresh_interpreter(script) == ["False", "True True"]
+
+
+def test_lda_names_load_on_first_use():
+    script = """
+import sys
+import topickit
+print("topickit.lda" in sys.modules)
+lazy = [name for name in topickit.__all__ if name not in vars(topickit)]
+from topickit import corpus, evaluate, lda, nmf, ntf, vectorize
+print(topickit.__all__ == [*corpus.__all__, *vectorize.__all__, *lda.__all__, *nmf.__all__,
+                           *ntf.__all__, *evaluate.__all__])
+print(lazy == lda.__all__, topickit.lda is lda, all(getattr(topickit, n) is getattr(lda, n)
+                                                     for n in lazy))
+star = {}
+exec("from topickit import *", star)
+print(all(star[name] is getattr(lda, name) for name in lda.__all__))
+try:
+    topickit.fit_lsa
+except AttributeError as exc:
+    print(exc)
+"""
+    assert _fresh_interpreter(script) == [
+        "False", "True", "True True True", "True", "module 'topickit' has no attribute 'fit_lsa'"]
 
 
 class TestMainExitCodes:

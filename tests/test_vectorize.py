@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from topickit.corpus import CorpusError, StopwordList, load_corpus, preprocess_corpus
+from topickit.corpus import CorpusError, RawDocument, StopwordList, load_corpus, preprocess_corpus
 from topickit.evaluate import _ranked_terms
 from topickit.vectorize import (
     DocCompanyTermTensor,
@@ -493,17 +493,31 @@ class TestPeakMemory:
         # int64 codes, float64 ones or a copy of TF to order its columns take it past three
         assert _traced_peak(count_terms, docs, 3) < 3 * 8 * n_tokens
 
-    def test_prepare_corpus(self, tmp_path):
-        """The sweep's corpus route on 3000 JSONL records of 1-120 words over 3000 terms."""
+    @staticmethod
+    def zipf_texts():
+        """3000 texts of 1-120 words over 3000 terms."""
         rng = np.random.default_rng(3)
         letters = "abcdefghijklmnopqrstuvwxyz"
         terms = np.array([f"q{letters[i // 26 % 26]}{letters[i % 26]}{letters[i // 676]}"
                           for i in range(3000)])
         p = 1.0 / np.arange(1, 3001)
+        return [" ".join(rng.choice(terms, int(rng.integers(1, 121)), p=p / p.sum()))
+                for _ in range(3000)]
+
+    def test_preprocess_corpus(self):
+        """The token route on the same 3000 texts."""
+        docs = [RawDocument(f"d{i}", f"c{i % 7}", text) for i, text in enumerate(self.zipf_texts())]
+        n_tokens = sum(len(t.tokens) for t in preprocess_corpus(docs)[0])
+        # A tuple of stems per document (eight bytes a token) beside the memo and the
+        # documents: 13.6 bytes a token.  A second tuple per document, of its codes, takes it
+        # to 23.
+        assert _traced_peak(preprocess_corpus, docs) < 17 * n_tokens
+
+    def test_prepare_corpus(self, tmp_path):
+        """The sweep's corpus route on the same texts as 3000 JSONL records."""
         path = tmp_path / "zipf.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
-            for i in range(3000):
-                text = " ".join(rng.choice(terms, int(rng.integers(1, 121)), p=p / p.sum()))
+            for i, text in enumerate(self.zipf_texts()):
                 fh.write(json.dumps({"doc_id": f"d{i}", "company_id": f"c{i % 7}",
                                      "text": text}) + "\n")
         n_tokens = sum(len(t.tokens) for t in preprocess_corpus(load_corpus(path))[0])
