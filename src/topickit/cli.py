@@ -286,9 +286,10 @@ def select_best(summaries: list[dict], margin: float = 0.02) -> dict:
 
     Per method: candidate Ks are those whose mean document silhouette is
     within ``margin`` of the method's maximum; among candidates the
-    highest mean keyword-match ratio wins, ties to the smaller K.  A
-    method with a single K takes it.  The overall winner compares the
-    per-method picks lexicographically on (silhouette, keyword ratio).
+    highest mean keyword-match ratio wins, ties to the smaller K.  Each
+    pick records its method's candidate Ks, ascending.  A method with a
+    single K takes it.  The overall winner compares the per-method picks
+    lexicographically on (silhouette, keyword ratio).
     """
     check_setting("margin", margin, 0, integer=False)
     if not summaries:
@@ -297,17 +298,19 @@ def select_best(summaries: list[dict], margin: float = 0.02) -> dict:
     for method in dict.fromkeys(r["method"] for r in summaries):
         rows = [r for r in summaries if r["method"] == method]
         scored = [r for r in rows if r["silhouette_documents"] is not None]
-        best, notices = {}, []
-        if len(rows) == 1:
-            best, notices = rows[0], ["no sweep: single K value"]
-        elif scored:
+        best, notices, candidates = {}, [], []
+        if scored:
             max_sil = max(r["silhouette_documents"] for r in scored)
             candidates = [r for r in scored if r["silhouette_documents"] >= max_sil - margin]
+        if len(rows) == 1:
+            best, notices = rows[0], ["no sweep: single K value"]
+        elif candidates:
             best = min(candidates, key=lambda r: (-_or_lowest(r["keyword_match_mean"]), r["k"]))
         else:
             notices = ["no silhouette values available"]
         per_method[method] = {
             "k": best.get("k"),
+            "candidates": sorted(r["k"] for r in candidates),
             "silhouette": best.get("silhouette_documents"),
             "keyword_match": best.get("keyword_match_mean"),
             "notices": notices,

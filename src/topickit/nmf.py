@@ -12,11 +12,12 @@ the denominators and a floor under the NNDSVD zeros keep the updates from
 locking entries at exact zero.
 
 No D x V array is formed from a sparse input.  NNDSVD takes the K leading
-singular triplets from a restarted Golub-Kahan-Lanczos bidiagonalisation
-(``_leading_svd``): it holds w = min(max(2K + 1, 20), min(D, V)) basis
-vectors per side, w (D + V) floats (ARPACK's default ``ncv``), plus one
-residual vector, and starts from a fixed vector, so the output is
-deterministic.  The objective comes from K x K Gramians,
+singular triplets, for every K <= min(D, V), from one restarted
+Golub-Kahan-Lanczos bidiagonalisation (``_leading_svd``): it holds
+w = min(max(2K + 1, 20), min(D, V)) basis vectors per side, w (D + V)
+floats (ARPACK's default ``ncv``), plus one residual vector, and starts
+from a fixed vector, so the output is deterministic.  The objective comes
+from K x K Gramians,
 
     ||X - W H||^2 = ||X||^2 - 2 <W^T X, H> + <W^T W, H H^T>,
 
@@ -85,11 +86,12 @@ def _check_factor_shapes(mat, doc_topic: np.ndarray, topic_term: np.ndarray) -> 
 def nndsvd_init(x, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative double SVD initialisation.
 
-    Builds the factor pair from the k leading singular triplets: the
-    leading triplet is taken with absolute values, and every later
-    component keeps whichever sign section (positive or negative parts of
-    the singular vector pair) carries more mass.  Structural zeros are
-    floored at 1e-12 so later multiplicative updates can move them.
+    Builds the factor pair from the k leading singular triplets, which
+    ``_leading_svd`` gives for every k <= min(D, V): the leading triplet is
+    taken with absolute values, and every later component keeps whichever
+    sign section (positive or negative parts of the singular vector pair)
+    carries more mass.  Structural zeros are floored at 1e-12 so later
+    multiplicative updates can move them.
     """
     mat = _as_2d(x)
     check_nonnegative(mat, "NMF input")
@@ -97,17 +99,9 @@ def nndsvd_init(x, k: int) -> tuple[np.ndarray, np.ndarray]:
     check_k(k, min(n_rows, n_cols), f"the smaller side of a {n_rows}x{n_cols} matrix")
 
     try:
-        if k < min(n_rows, n_cols):
-            u, s, vt = _leading_svd(mat, k)
-        else:
-            # The Lanczos needs k < min(D, V).  Here the dense copy holds
-            # min(D, V) * max(D, V) = K * max(D, V) floats, inside O((D + V) K).
-            dense = mat.toarray() if sp.issparse(mat) else mat
-            u, s, vt = np.linalg.svd(dense, full_matrices=False)
+        u, s, vt = _leading_svd(mat, k)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"SVD failed on degenerate input: {exc}") from exc
-    order = np.argsort(s)[::-1]
-    u, s, vt = u[:, order], s[order], vt[order, :]
 
     w = np.zeros((n_rows, k))
     h = np.zeros((k, n_cols))
@@ -138,7 +132,7 @@ def nndsvd_init(x, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _leading_svd(mat, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The k leading singular triplets ``(u, s, vt)`` of ``mat``, s descending, k < min(D, V).
+    """The k leading singular triplets ``(u, s, vt)`` of ``mat``, s descending, k <= min(D, V).
 
     Golub-Kahan-Lanczos bidiagonalisation ``A P = Q B`` with full
     reorthogonalisation and thick restarts (Baglama & Reichel 2005).  A pass
@@ -147,7 +141,8 @@ def _leading_svd(mat, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     residuals are ``beta * |last row of B's left vectors|``.  Until the k
     wanted residuals are at most ``_LANCZOS_TOL`` times the largest Ritz
     value, a restart keeps the leading ``keep`` triplets and continues from
-    the residual direction.
+    the residual direction.  At full width (w = min(D, V)) P spans the
+    smaller side, so the residual is 0 and the first pass is final.
     P starts from a fixed uniform vector, and a breakdown continues from a
     vector drawn from the same generator, so the output is deterministic.
     """
@@ -209,15 +204,15 @@ def _rotate(basis: np.ndarray, coef: np.ndarray) -> None:
 def _extend(x: np.ndarray, basis: np.ndarray, scale: float, rng) -> tuple[float, np.ndarray]:
     """The norm and direction of ``x`` orthogonalised against the rows of ``basis``.
 
+    Against a basis of the whole space the remainder is round-off: 0, zeros.
     A remainder at round-off level of ``scale`` is a breakdown: the norm is
-    0 and the direction a fresh random one orthogonal to ``basis`` (zeros
-    once ``basis`` spans the space).
+    0 and the direction a fresh random one orthogonal to ``basis``.
     """
+    if len(basis) >= len(x):
+        return 0.0, np.zeros_like(x)
     norm = _orthogonalise(x, basis)
     if norm > 0.0 and norm > np.finfo(np.float64).eps * scale:
         return norm, x / norm
-    if len(basis) >= len(x):
-        return 0.0, np.zeros_like(x)
     fresh = rng.uniform(-1.0, 1.0, size=len(x))
     return 0.0, fresh / _orthogonalise(fresh, basis)
 

@@ -271,6 +271,14 @@ class TestCriterion9PlantedProtocol:
             f"{planted_run['elapsed']:.0f}s"
         ))
 
+    def test_each_pick_is_among_its_candidates(self, planted_run):
+        per_method = planted_run["manifest"].selection["per_method"]
+        assert set(per_method) == {"lda", "nmf", "ntf"}
+        for method, pick in per_method.items():
+            assert pick["candidates"] == sorted(pick["candidates"])
+            assert set(pick["candidates"]) <= {2, 3, 4, 5, 6}
+            assert pick["k"] in pick["candidates"], method
+
     def test_lda_is_selected_overall_at_every_seed(self, planted_run, tmp_path):
         # The paper's conclusion at seeds 0-9, not at EXPERIMENT_SEED alone; the clauses
         # above hold at fewer seeds (ROADMAP item 6).

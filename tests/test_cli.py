@@ -271,6 +271,17 @@ class TestSelectBest:
         assert result["per_method"]["lda"]["k"] == 4
         assert result["overall"] == {"method": "lda", "k": 4}
 
+    def test_candidates_are_the_ks_within_the_margin(self):
+        summaries = [
+            {"method": "nmf", "k": k, "silhouette_documents": sil, "keyword_match_mean": 0.5}
+            for k, sil in ((6, 0.4801), (2, 0.4799), (5, 0.50), (3, 0.10))
+        ]
+        pick = select_best(summaries, margin=0.02)["per_method"]["nmf"]
+        assert pick["candidates"] == [5, 6]  # 0.0199 below the best is in, 0.0201 is out
+        assert pick["k"] == 5
+        assert select_best(summaries, margin=0.0)["per_method"]["nmf"]["candidates"] == [5]
+        assert select_best(summaries[:1])["per_method"]["nmf"]["candidates"] == [6]
+
     def test_single_k_returns_notice(self):
         summaries = [
             {"method": "nmf", "k": 3, "silhouette_documents": 0.4, "keyword_match_mean": 0.6},
@@ -320,7 +331,7 @@ class TestSelectBest:
         ]
         result = select_best(summaries)
         assert result["per_method"]["lda"] == {
-            "k": None, "silhouette": None, "keyword_match": None,
+            "k": None, "candidates": [], "silhouette": None, "keyword_match": None,
             "notices": ["no silhouette values available"],
         }
         assert result["overall"] == {"method": "nmf", "k": 2}
@@ -332,7 +343,7 @@ class TestSelectBest:
         ]
         result = select_best(summaries)
         assert result["per_method"]["lda"] == {
-            "k": 1, "silhouette": None, "keyword_match": 0.5,
+            "k": 1, "candidates": [], "silhouette": None, "keyword_match": 0.5,
             "notices": ["no sweep: single K value"],
         }
         assert result["overall"] == {"method": "lda", "k": 1}

@@ -138,7 +138,7 @@ class TestNndsvdInit:
         for seed in range(30):
             rng = np.random.default_rng(seed)
             x = random_tfidf(rng)
-            for k in range(2, min(x.shape)):
+            for k in range(2, min(x.shape) + 1):
                 assert_matches_oracle(x, k)
 
     def test_k_equal_to_min_dimension_matches_dense_oracle(self, rng):
@@ -159,6 +159,14 @@ class TestNndsvdInit:
         assert w0.shape == (40, 4) and h0.shape == (4, 30)
         model = fit_nmf(x, 4, max_iter=20)
         assert len(model.objective_trace) > 1
+
+    @pytest.mark.parametrize("shape", [(12, 30), (30, 12), (20, 20)])
+    def test_sparse_input_is_never_densified_at_full_width(self, rng, shape):
+        # K = min(D, V) takes the same Lanczos as any smaller K
+        x = NoDenseCsr(np.where(rng.random(shape) < 0.3, rng.random(shape), 0.0))
+        w0, h0 = nndsvd_init(x, min(shape))
+        assert w0.shape == (shape[0], min(shape)) and h0.shape == (min(shape), shape[1])
+        assert_matches_oracle(sp.csr_matrix(x), min(shape))
 
     def test_lanczos_restart_cap_is_a_value_error(self, rng, monkeypatch):
         # 60 x 50 at K=3 keeps 20 vectors per side: one pass does not converge
@@ -227,8 +235,23 @@ class TestLeadingSvd:
 
     def test_dense_input_and_full_width(self, rng):
         x = np.abs(rng.standard_normal((40, 12)))
-        for k in (2, 5, 11):  # w = min(max(2k+1, 20), 12): one pass spans the small side
+        for k in (2, 5, 11, 12):  # w = min(max(2k+1, 20), 12): one pass spans the small side
             assert_leading_triplets(x, k)
+
+    @pytest.mark.parametrize("x", [
+        np.diag([5.0, 3.0, 1.5, 0.5]),
+        np.diag([4.0, 1.0, 2.0, 0.25]) @ np.eye(4, 6),
+        np.full((4, 5), 2.5),
+        np.abs(np.random.default_rng(3).standard_normal((30, 2)))
+        @ np.abs(np.random.default_rng(4).standard_normal((2, 20))),
+        np.kron(np.eye(3), np.ones((2, 3))),  # three tied values, then zeros
+        np.kron(np.diag([2.0, 2.0, 1.0, 1.0]), np.ones((3, 1))),
+    ], ids=["diagonal", "wide-diagonal", "all-equal", "rank-two", "tied", "tied-tall"])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_full_width_is_one_pass(self, x, sparse, monkeypatch):
+        # At K = min(D, V) the first pass spans the smaller side: no restart is needed
+        monkeypatch.setattr(nmf, "_MAX_RESTARTS", 0)
+        assert_leading_triplets(sp.csr_matrix(x) if sparse else x, min(x.shape))
 
 
 class TestObjective:
